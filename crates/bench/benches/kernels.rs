@@ -34,9 +34,9 @@ fn bench_solver(h: &mut Harness) {
 
 /// The accelerated solver configurations on the same worst-case RESET bias:
 /// warm-started (a small voltage ramp, as sweep-style callers produce),
-/// parallel cold, and warm+parallel. The warm entries use a loose
-/// linearization-cache epsilon; correctness is still pinned by the exact
-/// residual check inside the solver.
+/// cold on two relaxation threads, and warm on two threads. The warm
+/// entries use a loose linearization-cache epsilon; correctness is still
+/// pinned by the exact residual check inside the solver.
 fn bench_solver_accel(h: &mut Harness) {
     let sizes: &[usize] = if h.is_full() {
         &[64, 128, 256, 512]
@@ -47,7 +47,6 @@ fn bench_solver_accel(h: &mut Harness) {
         lin_cache_epsilon_volts: Some(1e-5),
         ..SolveOptions::default()
     };
-    let pool = Arc::new(ThreadPool::new(ThreadPool::default_jobs().max(1)));
     for &n in sizes {
         let model = ArrayModel::paper_baseline().with_geometry(ArrayGeometry::new(n, 8));
         // Three nearby biases (DRVR-style millivolt regulation steps),
@@ -69,20 +68,16 @@ fn bench_solver_accel(h: &mut Harness) {
         }
         {
             let cp = ramp[0].clone();
-            let mut ws = SolverWorkspace::new()
-                .with_pool(Arc::clone(&pool))
-                .with_par_threshold(0);
+            let mut ws = SolverWorkspace::new().with_threads(2);
             h.bench(&format!("kcl_solve_par_{n}x{n}"), move || {
-                ws.clear_seed(); // isolate the parallel axis: always cold
+                ws.clear_seed(); // isolate the thread axis: always cold
                 cp.solve_warm(black_box(&SolveOptions::default()), &mut ws)
                     .unwrap()
             });
         }
         {
             let ramp = ramp.clone();
-            let mut ws = SolverWorkspace::new()
-                .with_pool(Arc::clone(&pool))
-                .with_par_threshold(0);
+            let mut ws = SolverWorkspace::new().with_threads(2);
             let mut k = 0usize;
             h.bench(&format!("kcl_solve_warm_par_{n}x{n}"), move || {
                 let cp = &ramp[k % ramp.len()];
@@ -452,35 +447,6 @@ fn bench_surrogate_lookup(h: &mut Harness) {
     }
 }
 
-/// PR-10 acceptance, part 2: re-relaxing a declared ≤k-cell change must
-/// beat the cold solve it replaces (the bitwise-identity property is
-/// pinned by the circuit crate's test suite; this is the speed half).
-fn bench_incremental_solve(h: &mut Harness) {
-    let sizes: &[usize] = if h.is_full() {
-        &[64, 128, 256, 512]
-    } else {
-        &[64, 128, 256]
-    };
-    for &n in sizes {
-        let model = ArrayModel::paper_baseline().with_geometry(ArrayGeometry::new(n, 8));
-        let cp = model.to_crosspoint(n - 1, &[n - 1], &[3.0]);
-        let mut ws = SolverWorkspace::new();
-        cp.solve_warm(&SolveOptions::default(), &mut ws)
-            .expect("baseline solve");
-        h.bench(&format!("incremental_solve_1cell_{n}x{n}"), move || {
-            ws.note_cells_changed(black_box(&[(n - 1, n - 1)]));
-            cp.solve_incremental(&SolveOptions::default(), &mut ws)
-                .unwrap()
-        });
-    }
-    if let Some(ratio) = h.compare("incremental_solve_1cell_256x256", "kcl_solve_256x256") {
-        assert!(
-            ratio < 1.0,
-            "incremental 1-cell re-solve is {ratio:.3}x the cold solve at 256x256 (must be < 1.0x)"
-        );
-    }
-}
-
 /// PR-10 acceptance, part 3: the serve layer under surrogate physics must
 /// sustain ≥ 95% of the analytic-mode closed-loop throughput — the same
 /// deterministic A/B shape as the tracing-overhead gate.
@@ -520,7 +486,6 @@ fn main() {
     bench_wal_append(&mut h);
     bench_trace_overhead(&mut h);
     bench_surrogate_lookup(&mut h);
-    bench_incremental_solve(&mut h);
     bench_surrogate_serve(&mut h);
     h.finish();
 }

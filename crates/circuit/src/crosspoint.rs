@@ -1,7 +1,6 @@
 //! Cross-point array topology: cells, wires, and line-end boundary conditions.
 
 use crate::{CellDevice, LineEnd};
-use std::sync::Arc;
 
 /// A rectangular cross-point resistive network.
 ///
@@ -27,10 +26,7 @@ pub struct Crosspoint {
     cols: usize,
     r_wire_wl: f64,
     r_wire_bl: f64,
-    /// Shared so a parallel solve can hand the device table to worker jobs
-    /// without copying it; [`Crosspoint::set_cell`] copies on write only
-    /// while such a share is outstanding.
-    cells: Arc<Vec<CellDevice>>,
+    cells: Vec<CellDevice>,
     wl_left: Vec<LineEnd>,
     wl_right: Vec<LineEnd>,
     bl_near: Vec<LineEnd>,
@@ -54,7 +50,7 @@ impl Crosspoint {
             cols,
             r_wire_wl: r_wire,
             r_wire_bl: r_wire,
-            cells: Arc::new(vec![cell; rows * cols]),
+            cells: vec![cell; rows * cols],
             wl_left: vec![LineEnd::Floating; rows],
             wl_right: vec![LineEnd::Floating; rows],
             bl_near: vec![LineEnd::Floating; cols],
@@ -114,7 +110,7 @@ impl Crosspoint {
     /// Panics if the indices are out of bounds.
     pub fn set_cell(&mut self, i: usize, j: usize, cell: CellDevice) {
         let idx = self.idx(i, j);
-        Arc::make_mut(&mut self.cells)[idx] = cell;
+        self.cells[idx] = cell;
     }
 
     /// Boundary at the decoder-side end (`j = 0`) of word-line `i`.
@@ -182,12 +178,6 @@ impl Crosspoint {
     #[inline]
     pub(crate) fn cells(&self) -> &[CellDevice] {
         &self.cells
-    }
-
-    /// The shared device table, for fanning solver jobs out without a copy.
-    #[inline]
-    pub(crate) fn cells_shared(&self) -> Arc<Vec<CellDevice>> {
-        Arc::clone(&self.cells)
     }
 }
 

@@ -59,5 +59,5 @@ pub use device::{CellDevice, CellState, CompliantCell, PolySelector, SeriesCell}
 pub use error::SolveError;
 pub use recover::{Recovery, RecoveryRung, RECOVERY_LEAK_S};
 pub use solve::{Solution, SolveOptions, SolveStats};
-pub(crate) use tridiag::{solve_tridiagonal, solve_tridiagonal_batch_const, TRIDIAG_BATCH_MAX};
-pub use workspace::{SolverWorkspace, DEFAULT_PAR_MIN_CELLS};
+pub(crate) use tridiag::{solve_tridiagonal_batch_const, TRIDIAG_BATCH_MAX};
+pub use workspace::SolverWorkspace;

@@ -18,40 +18,23 @@
 //! * **Warm starts** — the workspace keeps the previous converged operating
 //!   point and seeds the next solve from it instead of the cold boundary
 //!   guess, collapsing the sweep count when consecutive solves are similar.
-//! * **Parallel line relaxation** — within a phase, every word-line system
-//!   depends only on the fixed bit-line plane (and vice versa), so the
-//!   per-line tridiagonal solves fan out over a
-//!   [`reram_exec::ThreadPool`] bitwise-identically to the serial schedule.
+//! * **Banded line relaxation** — within a phase, every word-line system
+//!   depends only on the fixed bit-line plane (and vice versa). The one
+//!   relaxation kernel interleaves up to [`LINE_BATCH`] line systems per
+//!   batch and splits each phase into contiguous bands of whole batches,
+//!   one per thread of [`SolverWorkspace::with_threads`]. Every line's
+//!   system is built, solved and applied with the same arithmetic at any
+//!   thread count, so results are bitwise-identical to one thread.
 //! * **Linearization caching** — each cell's last `(v, g, i0)` Newton
 //!   linearization is kept; cells whose junction voltage moved less than
 //!   [`SolveOptions::lin_cache_epsilon_volts`] skip the expensive device
 //!   model. The exact nonlinear KCL residual check still gates convergence,
 //!   so a stale cache can never produce a wrong answer — at worst it
 //!   triggers a cache refresh and more sweeps.
-//! * **Incremental settled-line tracking** —
-//!   [`Crosspoint::solve_incremental`] additionally skips every line whose
-//!   previous relaxation provably changed nothing: a line is *settled* once
-//!   relaxing it produced zero bitwise change (every update was exactly
-//!   `0.0` and no cache entry moved), and stays settled until one of its
-//!   inputs — a crossing line's voltage, a cache entry on it, its boundary
-//!   stamps, or (caller-declared via
-//!   [`SolverWorkspace::note_cells_changed`]) one of its devices — changes
-//!   bitwise. Because relaxation is deterministic, skipping a settled line
-//!   is *exactly* the arithmetic the full sweep would have performed, so
-//!   incremental solves are bitwise-identical to [`Crosspoint::solve_warm`]
-//!   (property-tested in `tests/incremental.rs`). With the linearization
-//!   cache on, warm lines reach their exact fixed point after a couple of
-//!   sweeps, so when ≤ k cells change between consecutive solves only the
-//!   electrically affected lines re-relax.
 
 use crate::workspace::SolverWorkspace;
-use crate::{
-    solve_tridiagonal, solve_tridiagonal_batch_const, CellDevice, Crosspoint, LineEnd, SolveError,
-    TRIDIAG_BATCH_MAX,
-};
-use reram_exec::{par_map, ThreadPool};
+use crate::{solve_tridiagonal_batch_const, Crosspoint, LineEnd, SolveError, TRIDIAG_BATCH_MAX};
 use reram_obs::{Obs, Value};
-use std::sync::Arc;
 
 /// A tiny conductance to ground added to every junction.
 ///
@@ -61,7 +44,7 @@ use std::sync::Arc;
 /// arrays the voltage error it introduces is below a picovolt.
 const NODE_LEAK_S: f64 = 1e-12;
 
-/// Lines relaxed per batch in the serial phases.
+/// Lines relaxed per interleaved batch.
 ///
 /// Batching serves two unrelated machine limits with one structure. (1)
 /// *Latency*: the Thomas algorithm is a per-node chain of dependent
@@ -71,8 +54,8 @@ const NODE_LEAK_S: f64 = 1e-12;
 /// planes, so assembling one column at a time wastes 7/8 of every fetched
 /// cache line — assembling eight adjacent columns per plane pass (one
 /// cache line of `f64`s) cuts that traffic eightfold. Every line's system
-/// is still built, solved, and applied with exactly the serial arithmetic,
-/// so results are bitwise unchanged.
+/// is still built, solved, and applied with exactly the one-line
+/// arithmetic, so results are bitwise unchanged.
 const LINE_BATCH: usize = TRIDIAG_BATCH_MAX;
 
 /// Consecutive stalled sweeps (iterate within `tol_volts` of its fixed
@@ -100,10 +83,15 @@ pub struct SolveOptions {
     /// Reuse a cell's previous Newton linearization while its junction
     /// voltage has moved by no more than this (volts); `None` (the default)
     /// disables the cache, so plain solves pay no lookup overhead.
-    /// `Some(0.0)` skips only bitwise-identical re-linearizations and is
-    /// exactly equivalent to `None`; looser values (e.g. `1e-5`) skip most
-    /// device-model evaluations in warm-started sweeps and are still
-    /// guarded by the exact nonlinear residual check.
+    /// `Some(0.0)` skips only re-linearizations at a bitwise-identical
+    /// junction voltage, so it matches `None` bitwise as long as every
+    /// cell keeps the device its cache entry was computed for. Entries are
+    /// keyed by cell position, not by device: a caller that swaps devices
+    /// between warm solves on one workspace must call
+    /// [`SolverWorkspace::invalidate_cache`] first, or a changed cell can
+    /// reuse its old device's linearization. Looser values (e.g. `1e-5`)
+    /// skip most device-model evaluations in warm-started sweeps and are
+    /// still guarded by the exact nonlinear residual check.
     pub lin_cache_epsilon_volts: Option<f64>,
     /// Extra per-node leak conductance to ground (siemens), added on top of
     /// the built-in 1 pS node-leak regularization. The default `0.0`
@@ -259,11 +247,10 @@ impl Solution {
     }
 }
 
-/// Everything a parallel line-relaxation job needs, shared read-only across
-/// workers for one solve: device table (zero-copy via the crosspoint's own
-/// `Arc`), precomputed boundary stamps, wire conductances, and the row/column
-/// chunking.
-struct ParPlan {
+/// Everything the relaxation kernel reads besides the planes, shared by
+/// every band of a phase.
+struct Relax<'a> {
+    cp: &'a Crosspoint,
     rows: usize,
     cols: usize,
     g_wl: f64,
@@ -271,100 +258,112 @@ struct ParPlan {
     /// Per-node leak: `NODE_LEAK_S` plus [`SolveOptions::extra_leak_s`].
     leak: f64,
     max_step: f64,
-    cells: Arc<Vec<CellDevice>>,
-    /// `(left, right)` boundary stamps per word-line.
-    wl_stamps: Vec<((f64, f64), (f64, f64))>,
-    /// `(near, far)` boundary stamps per bit-line.
-    bl_stamps: Vec<((f64, f64), (f64, f64))>,
-    /// `[start, end)` row ranges, one per WL-phase job.
-    wl_chunks: Vec<(usize, usize)>,
-    /// `[start, end)` column ranges, one per BL-phase job.
-    bl_chunks: Vec<(usize, usize)>,
+    /// Linearization-cache epsilon; `None` = cache off.
+    eps: Option<f64>,
+    /// Word-line band boundaries (see [`band_bounds`]).
+    wl_bounds: Vec<usize>,
+    /// Bit-line band boundaries.
+    bl_bounds: Vec<usize>,
 }
 
-impl ParPlan {
-    fn new(cp: &Crosspoint, opts: &SolveOptions, workers: usize) -> Self {
-        let rows = cp.rows();
-        let cols = cp.cols();
-        Self {
-            rows,
-            cols,
-            g_wl: 1.0 / cp.r_wire_wl(),
-            g_bl: 1.0 / cp.r_wire_bl(),
-            leak: NODE_LEAK_S + opts.extra_leak_s,
-            max_step: opts.max_step_volts,
-            cells: cp.cells_shared(),
-            wl_stamps: (0..rows)
-                .map(|i| (cp.wl_left(i).stamp(), cp.wl_right(i).stamp()))
-                .collect(),
-            bl_stamps: (0..cols)
-                .map(|j| (cp.bl_near(j).stamp(), cp.bl_far(j).stamp()))
-                .collect(),
-            wl_chunks: chunk_ranges(rows, workers),
-            bl_chunks: chunk_ranges(cols, workers),
-        }
-    }
-}
-
-/// Splits `lines` into contiguous ranges, roughly four per participant
-/// (workers plus the caller): few enough jobs to amortize dispatch, enough
-/// slack for load balancing. Chunk boundaries cannot affect results — each
-/// line's system is independent within a phase.
-fn chunk_ranges(lines: usize, workers: usize) -> Vec<(usize, usize)> {
-    let chunk = lines.div_ceil(4 * (workers + 1)).max(1);
-    let mut out = Vec::with_capacity(lines.div_ceil(chunk));
-    let mut start = 0;
-    while start < lines {
-        let end = (start + chunk).min(lines);
-        out.push((start, end));
-        start = end;
-    }
-    out
-}
-
-/// One parallel job's output: updated plane values and cache entries for its
-/// line range (in the same order the serial solver would visit them), plus
-/// its partial reduction state.
-struct ChunkOut {
-    v: Vec<f64>,
-    /// `(v, g, i0)` cache write-backs aligned with `v`; empty when the
-    /// linearization cache is off.
-    lin: Vec<(f64, f64, f64)>,
+/// One band's share of a phase: its largest node update and its
+/// linearization-cache hits and lookups.
+#[derive(Clone, Copy, Default)]
+struct BandStats {
     max_dv: f64,
     hits: u64,
     lookups: u64,
 }
 
-/// Linearizes cell `idx` at junction voltage `v` through the (read-only
-/// snapshot of the) cache, recording the entry to write back. Shared by both
-/// parallel chunk kernels; the serial path inlines the same logic against
-/// the workspace arrays directly.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn lin_cell(
-    cells: &[CellDevice],
-    idx: usize,
-    v: f64,
-    eps: Option<f64>,
-    lin_v: &[f64],
-    lin_g: &[f64],
-    lin_i0: &[f64],
-    out: &mut ChunkOut,
-) -> (f64, f64) {
-    let Some(e) = eps else {
-        return cells[idx].linearize(v);
-    };
-    out.lookups += 1;
-    // NaN marks an empty cache slot and never compares `<= e`.
-    if (v - lin_v[idx]).abs() <= e {
-        out.hits += 1;
-        out.lin.push((lin_v[idx], lin_g[idx], lin_i0[idx]));
-        (lin_g[idx], lin_i0[idx])
-    } else {
-        let (g, i0) = cells[idx].linearize(v);
-        out.lin.push((v, g, i0));
-        (g, i0)
+/// A band's part of the three linearization-cache planes (`v`, `g`, `i0`),
+/// empty while the cache is off: one contiguous slice for a word-line band,
+/// one sub-slice per row for a bit-line band.
+struct CacheBand<P> {
+    v: P,
+    g: P,
+    i0: P,
+}
+
+/// Band boundaries for `lines` lines on up to `threads` threads: band `b`
+/// is `bounds[b]..bounds[b + 1]`. Bands are whole [`LINE_BATCH`] batches
+/// (bar the ragged last one), so every batch holds exactly the lines it
+/// holds on one thread.
+fn band_bounds(lines: usize, threads: usize) -> Vec<usize> {
+    let batches = lines.div_ceil(LINE_BATCH);
+    let bands = threads.clamp(1, batches.max(1));
+    (0..=bands)
+        .map(|b| (b * batches / bands * LINE_BATCH).min(lines))
+        .collect()
+}
+
+/// Splits the row-major `plane` into one contiguous chunk of whole
+/// `width`-wide rows per band; an empty plane yields empty chunks.
+fn row_bands<'a>(mut plane: &'a mut [f64], bounds: &[usize], width: usize) -> Vec<&'a mut [f64]> {
+    bounds
+        .windows(2)
+        .map(|w| {
+            let len = ((w[1] - w[0]) * width).min(plane.len());
+            let (band, rest) = std::mem::take(&mut plane).split_at_mut(len);
+            plane = rest;
+            band
+        })
+        .collect()
+}
+
+/// Splits every `cols`-wide row of `plane` at the column band boundaries:
+/// entry `b` holds band `b`'s sub-slice of each row, top to bottom. An
+/// empty plane yields empty bands.
+fn col_bands<'a>(plane: &'a mut [f64], bounds: &[usize], cols: usize) -> Vec<Vec<&'a mut [f64]>> {
+    let rows = plane.len() / cols;
+    let mut bands: Vec<Vec<&mut [f64]>> = (1..bounds.len())
+        .map(|_| Vec::with_capacity(rows))
+        .collect();
+    for mut row in plane.chunks_mut(cols) {
+        for (band, w) in bands.iter_mut().zip(bounds.windows(2)) {
+            let (part, rest) = std::mem::take(&mut row).split_at_mut(w[1] - w[0]);
+            band.push(part);
+            row = rest;
+        }
     }
+    bands
+}
+
+/// Zips per-band splits of the three cache planes into [`CacheBand`]s.
+fn cache_bands<P>(v: Vec<P>, g: Vec<P>, i0: Vec<P>) -> impl Iterator<Item = CacheBand<P>> {
+    v.into_iter()
+        .zip(g)
+        .zip(i0)
+        .map(|((v, g), i0)| CacheBand { v, g, i0 })
+}
+
+/// Runs one job per band — the first on the calling thread, the rest on
+/// scoped threads — and returns their results in band order.
+fn run_bands<T: Send>(jobs: Vec<impl FnOnce() -> T + Send>) -> Vec<T> {
+    let mut jobs = jobs.into_iter();
+    let first = jobs.next().expect("every phase has at least one band");
+    std::thread::scope(|s| {
+        let rest: Vec<_> = jobs.map(|job| s.spawn(job)).collect();
+        let mut out = vec![first()];
+        out.extend(
+            rest.into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))),
+        );
+        out
+    })
+}
+
+/// Folds a phase's band results in band order. The lowest band's error
+/// wins: its first singular line is the first one the one-thread schedule
+/// meets. The max fold does not depend on order.
+fn merge_bands(outs: Vec<Result<BandStats, SolveError>>) -> Result<BandStats, SolveError> {
+    outs.into_iter().try_fold(BandStats::default(), |acc, out| {
+        let b = out?;
+        Ok(BandStats {
+            max_dv: acc.max_dv.max(b.max_dv),
+            hits: acc.hits + b.hits,
+            lookups: acc.lookups + b.lookups,
+        })
+    })
 }
 
 /// Stamps one junction into slot `o` of an (interleaved) tridiagonal
@@ -376,8 +375,7 @@ fn lin_cell(
 /// For a WL node pass `i0` and the fixed BL voltage; for a BL node pass
 /// `-i0` and the fixed WL voltage — `x - i0` and `x + (-i0)` are the same
 /// f64 operation, so both phases share this exact arithmetic sequence
-/// (bitwise identity between the cached and uncached arms, and with the
-/// parallel chunk kernels).
+/// (bitwise identity between the cached and uncached arms).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn stamp_node(
@@ -412,280 +410,301 @@ fn stamp_node(
     rhs[o] = r;
 }
 
-/// Solves word-lines `r0..r1` against the fixed BL plane. Reads only
-/// pre-phase plane snapshots, so any partition of rows into chunks computes
-/// exactly the serial result. Returns `Err(row)` on a singular line system.
-#[allow(clippy::too_many_arguments)]
-fn wl_chunk(
-    plan: &ParPlan,
-    eps: Option<f64>,
-    vw: &[f64],
-    vb: &[f64],
-    lin_v: &[f64],
-    lin_g: &[f64],
-    lin_i0: &[f64],
-    r0: usize,
-    r1: usize,
-) -> Result<ChunkOut, usize> {
-    let cols = plan.cols;
-    let mut sub = vec![0.0f64; cols];
-    let mut diag = vec![0.0f64; cols];
-    let mut sup = vec![0.0f64; cols];
-    let mut rhs = vec![0.0f64; cols];
-    let cap = (r1 - r0) * cols;
-    let mut out = ChunkOut {
-        v: Vec::with_capacity(cap),
-        lin: Vec::with_capacity(if eps.is_some() { cap } else { 0 }),
-        max_dv: 0.0,
-        hits: 0,
-        lookups: 0,
-    };
-    for i in r0..r1 {
-        let ((gl, vl), (gr, vr)) = plan.wl_stamps[i];
-        for j in 0..cols {
-            let idx = i * cols + j;
-            let (g, i0) = lin_cell(
-                &plan.cells,
-                idx,
-                vb[idx] - vw[idx],
-                eps,
-                lin_v,
-                lin_g,
-                lin_i0,
-                &mut out,
-            );
-            let mut d = g + plan.leak;
-            let mut r = g * vb[idx] + i0;
-            if j > 0 {
-                d += plan.g_wl;
-                sub[j] = -plan.g_wl;
-            } else {
-                d += gl;
-                r += gl * vl;
-                sub[j] = 0.0;
-            }
-            if j + 1 < cols {
-                d += plan.g_wl;
-                sup[j] = -plan.g_wl;
-            } else {
-                d += gr;
-                r += gr * vr;
-                sup[j] = 0.0;
-            }
-            diag[j] = d;
-            rhs[j] = r;
-        }
-        solve_tridiagonal(&sub, &mut diag, &mut sup, &mut rhs).map_err(|_| i)?;
-        #[allow(clippy::needless_range_loop)] // indexes several parallel arrays
-        for j in 0..cols {
-            let idx = i * cols + j;
-            let dv = (rhs[j] - vw[idx]).clamp(-plan.max_step, plan.max_step);
-            out.v.push(vw[idx] + dv);
-            out.max_dv = out.max_dv.max(dv.abs());
-        }
-    }
-    Ok(out)
-}
-
-/// Solves bit-lines `c0..c1` against the fixed WL plane (the BL-phase twin
-/// of [`wl_chunk`]). Returns `Err(col)` on a singular line system.
-#[allow(clippy::too_many_arguments)]
-fn bl_chunk(
-    plan: &ParPlan,
-    eps: Option<f64>,
-    vw: &[f64],
-    vb: &[f64],
-    lin_v: &[f64],
-    lin_g: &[f64],
-    lin_i0: &[f64],
-    c0: usize,
-    c1: usize,
-) -> Result<ChunkOut, usize> {
-    let rows = plan.rows;
-    let cols = plan.cols;
-    let mut sub = vec![0.0f64; rows];
-    let mut diag = vec![0.0f64; rows];
-    let mut sup = vec![0.0f64; rows];
-    let mut rhs = vec![0.0f64; rows];
-    let cap = (c1 - c0) * rows;
-    let mut out = ChunkOut {
-        v: Vec::with_capacity(cap),
-        lin: Vec::with_capacity(if eps.is_some() { cap } else { 0 }),
-        max_dv: 0.0,
-        hits: 0,
-        lookups: 0,
-    };
-    for j in c0..c1 {
-        let ((gn, vn), (gf, vf)) = plan.bl_stamps[j];
-        for i in 0..rows {
-            let idx = i * cols + j;
-            let (g, i0) = lin_cell(
-                &plan.cells,
-                idx,
-                vb[idx] - vw[idx],
-                eps,
-                lin_v,
-                lin_g,
-                lin_i0,
-                &mut out,
-            );
-            let mut d = g + plan.leak;
-            let mut r = g * vw[idx] - i0;
-            if i > 0 {
-                d += plan.g_bl;
-                sub[i] = -plan.g_bl;
-            } else {
-                d += gn;
-                r += gn * vn;
-                sub[i] = 0.0;
-            }
-            if i + 1 < rows {
-                d += plan.g_bl;
-                sup[i] = -plan.g_bl;
-            } else {
-                d += gf;
-                r += gf * vf;
-                sup[i] = 0.0;
-            }
-            diag[i] = d;
-            rhs[i] = r;
-        }
-        solve_tridiagonal(&sub, &mut diag, &mut sup, &mut rhs).map_err(|_| j)?;
-        #[allow(clippy::needless_range_loop)] // indexes several parallel arrays
-        for i in 0..rows {
-            let idx = i * cols + j;
-            let dv = (rhs[i] - vb[idx]).clamp(-plan.max_step, plan.max_step);
-            out.v.push(vb[idx] + dv);
-            out.max_dv = out.max_dv.max(dv.abs());
-        }
-    }
-    Ok(out)
-}
-
-/// Bitwise equality of a line's `(end_a.stamp(), end_b.stamp())` pair, the
-/// granularity at which incremental solves auto-detect boundary changes.
-/// `to_bits` (not `==`) so that a NaN-poisoned stamp still unsettles its
-/// line rather than comparing unequal to itself forever.
-fn stamp_eq(a: ((f64, f64), (f64, f64)), b: ((f64, f64), (f64, f64))) -> bool {
-    let key = |s: ((f64, f64), (f64, f64))| {
-        (
-            s.0 .0.to_bits(),
-            s.0 .1.to_bits(),
-            s.1 .0.to_bits(),
-            s.1 .1.to_bits(),
-        )
-    };
-    key(a) == key(b)
-}
-
-/// Reclaims a buffer round-tripped through `Arc` for a `par_map` fan-out.
-/// [`par_map`] guarantees every closure clone is dropped by return, so the
-/// `try_unwrap` always succeeds; the clone is a safety net, not a code path.
-fn reclaim(buf: Arc<Vec<f64>>) -> Vec<f64> {
-    Arc::try_unwrap(buf).unwrap_or_else(|a| (*a).clone())
-}
-
-/// Runs one word-line phase across the pool: snapshots the planes and cache
-/// into `Arc`s, fans [`wl_chunk`] over the row ranges, reclaims the buffers,
-/// and writes results back in row order (so the `max_dv` fold and any error
-/// match the serial schedule exactly).
-fn par_phase_wl(
-    pool: &ThreadPool,
-    plan: &Arc<ParPlan>,
-    ws: &mut SolverWorkspace,
-    eps: Option<f64>,
-    max_dv: &mut f64,
-) -> Result<(), SolveError> {
-    let vw_s = Arc::new(std::mem::take(&mut ws.vw));
-    let vb_s = Arc::new(std::mem::take(&mut ws.vb));
-    let lv_s = Arc::new(std::mem::take(&mut ws.lin_v));
-    let lg_s = Arc::new(std::mem::take(&mut ws.lin_g));
-    let li_s = Arc::new(std::mem::take(&mut ws.lin_i0));
-    let (plan2, vw2, vb2, lv2, lg2, li2) = (
-        Arc::clone(plan),
-        Arc::clone(&vw_s),
-        Arc::clone(&vb_s),
-        Arc::clone(&lv_s),
-        Arc::clone(&lg_s),
-        Arc::clone(&li_s),
-    );
-    let results = par_map(pool, plan.wl_chunks.clone(), move |_, &(r0, r1)| {
-        wl_chunk(&plan2, eps, &vw2, &vb2, &lv2, &lg2, &li2, r0, r1)
-    });
-    ws.vw = reclaim(vw_s);
-    ws.vb = reclaim(vb_s);
-    ws.lin_v = reclaim(lv_s);
-    ws.lin_g = reclaim(lg_s);
-    ws.lin_i0 = reclaim(li_s);
-    for (k, res) in results.into_iter().enumerate() {
-        let out = res.map_err(|line| SolveError::SingularLine { line })?;
-        let base = plan.wl_chunks[k].0 * plan.cols;
-        ws.vw[base..base + out.v.len()].copy_from_slice(&out.v);
-        for (t, &(v, g, i0)) in out.lin.iter().enumerate() {
-            ws.lin_v[base + t] = v;
-            ws.lin_g[base + t] = g;
-            ws.lin_i0[base + t] = i0;
-        }
-        *max_dv = max_dv.max(out.max_dv);
-        ws.last_cache_hits += out.hits;
-        ws.last_cache_lookups += out.lookups;
-    }
-    Ok(())
-}
-
-/// The bit-line twin of [`par_phase_wl`]; write-back is strided because BL
-/// chunks own column ranges of the row-major planes.
-fn par_phase_bl(
-    pool: &ThreadPool,
-    plan: &Arc<ParPlan>,
-    ws: &mut SolverWorkspace,
-    eps: Option<f64>,
-    max_dv: &mut f64,
-) -> Result<(), SolveError> {
-    let vw_s = Arc::new(std::mem::take(&mut ws.vw));
-    let vb_s = Arc::new(std::mem::take(&mut ws.vb));
-    let lv_s = Arc::new(std::mem::take(&mut ws.lin_v));
-    let lg_s = Arc::new(std::mem::take(&mut ws.lin_g));
-    let li_s = Arc::new(std::mem::take(&mut ws.lin_i0));
-    let (plan2, vw2, vb2, lv2, lg2, li2) = (
-        Arc::clone(plan),
-        Arc::clone(&vw_s),
-        Arc::clone(&vb_s),
-        Arc::clone(&lv_s),
-        Arc::clone(&lg_s),
-        Arc::clone(&li_s),
-    );
-    let results = par_map(pool, plan.bl_chunks.clone(), move |_, &(c0, c1)| {
-        bl_chunk(&plan2, eps, &vw2, &vb2, &lv2, &lg2, &li2, c0, c1)
-    });
-    ws.vw = reclaim(vw_s);
-    ws.vb = reclaim(vb_s);
-    ws.lin_v = reclaim(lv_s);
-    ws.lin_g = reclaim(lg_s);
-    ws.lin_i0 = reclaim(li_s);
-    for (k, res) in results.into_iter().enumerate() {
-        let out = res.map_err(|line| SolveError::SingularLine {
-            line: plan.rows + line,
-        })?;
-        let (c0, c1) = plan.bl_chunks[k];
-        let mut t = 0;
-        for j in c0..c1 {
-            for i in 0..plan.rows {
-                let idx = i * plan.cols + j;
-                ws.vb[idx] = out.v[t];
-                if let Some(&(v, g, i0)) = out.lin.get(t) {
-                    ws.lin_v[idx] = v;
-                    ws.lin_g[idx] = g;
-                    ws.lin_i0[idx] = i0;
+impl Relax<'_> {
+    /// Relaxes one band of word-lines against the fixed BL plane: `vw`,
+    /// `vb` and `lin` hold the band's rows, the first of which is row
+    /// `r_lo`. Node `j` of batch-local row `t` lives at scratch slot
+    /// `j*t_n + t`. Fixed row windows let the compiler drop the per-cell
+    /// bounds checks on all five planes.
+    fn wl_band(
+        &self,
+        r_lo: usize,
+        vw: &mut [f64],
+        vb: &[f64],
+        lin: CacheBand<&mut [f64]>,
+        diag: &mut [f64],
+        rhs: &mut [f64],
+    ) -> Result<BandStats, SolveError> {
+        let Self {
+            cp,
+            cols,
+            g_wl,
+            leak,
+            max_step,
+            eps,
+            ..
+        } = *self;
+        let cells = cp.cells();
+        let CacheBand {
+            v: lin_v,
+            g: lin_g,
+            i0: lin_i0,
+        } = lin;
+        let band_rows = vw.len() / cols;
+        let mut st = BandStats::default();
+        let mut r0 = 0;
+        while r0 < band_rows {
+            let t_n = LINE_BATCH.min(band_rows - r0);
+            #[allow(clippy::needless_range_loop)] // indexes several parallel arrays
+            for t in 0..t_n {
+                let i = r_lo + r0 + t;
+                let (gl, vl) = cp.wl_left(i).stamp();
+                let (gr, vr) = cp.wl_right(i).stamp();
+                let base = (r0 + t) * cols;
+                let vbr = &vb[base..base + cols];
+                let vwr = &vw[base..base + cols];
+                let cr = &cells[i * cols..(i + 1) * cols];
+                if let Some(e) = eps {
+                    let lv = &mut lin_v[base..base + cols];
+                    let lg = &mut lin_g[base..base + cols];
+                    let li = &mut lin_i0[base..base + cols];
+                    st.lookups += cols as u64;
+                    for j in 0..cols {
+                        let v = vbr[j] - vwr[j];
+                        if (v - lv[j]).abs() <= e {
+                            st.hits += 1;
+                        } else {
+                            let (g, i0) = cr[j].linearize(v);
+                            lv[j] = v;
+                            lg[j] = g;
+                            li[j] = i0;
+                        }
+                        stamp_node(
+                            j,
+                            cols,
+                            j * t_n + t,
+                            lg[j],
+                            leak,
+                            li[j],
+                            vbr[j],
+                            g_wl,
+                            (gl, vl),
+                            (gr, vr),
+                            diag,
+                            rhs,
+                        );
+                    }
+                } else {
+                    for j in 0..cols {
+                        let (g, i0) = cr[j].linearize(vbr[j] - vwr[j]);
+                        stamp_node(
+                            j,
+                            cols,
+                            j * t_n + t,
+                            g,
+                            leak,
+                            i0,
+                            vbr[j],
+                            g_wl,
+                            (gl, vl),
+                            (gr, vr),
+                            diag,
+                            rhs,
+                        );
+                    }
                 }
-                t += 1;
+            }
+            let m = t_n * cols;
+            solve_tridiagonal_batch_const(t_n, cols, -g_wl, &mut diag[..m], &mut rhs[..m])
+                .map_err(|(t, _)| SolveError::SingularLine {
+                    line: r_lo + r0 + t,
+                })?;
+            for t in 0..t_n {
+                let base = (r0 + t) * cols;
+                for (j, w) in vw[base..base + cols].iter_mut().enumerate() {
+                    let dv = (rhs[j * t_n + t] - *w).clamp(-max_step, max_step);
+                    *w += dv;
+                    st.max_dv = st.max_dv.max(dv.abs());
+                }
+            }
+            r0 += t_n;
+        }
+        Ok(st)
+    }
+
+    /// Relaxes one band of bit-lines against the fixed WL plane (the twin
+    /// of [`Relax::wl_band`]): `vb` and `lin` hold the band's sub-slice of
+    /// every row, the first column of which is column `c_lo`. A batch is up
+    /// to [`LINE_BATCH`] adjacent columns assembled in one plane pass; node
+    /// `i` of batch-local column `t` lives at scratch slot `i*t_n + t`, and
+    /// the stamp is shared with the WL phase by negating `i0` (see
+    /// `stamp_node`).
+    fn bl_band(
+        &self,
+        c_lo: usize,
+        vb: &mut [&mut [f64]],
+        vw: &[f64],
+        lin: CacheBand<Vec<&mut [f64]>>,
+        diag: &mut [f64],
+        rhs: &mut [f64],
+    ) -> Result<BandStats, SolveError> {
+        let Self {
+            cp,
+            rows,
+            cols,
+            g_bl,
+            leak,
+            max_step,
+            eps,
+            ..
+        } = *self;
+        let cells = cp.cells();
+        let CacheBand {
+            v: mut lin_v,
+            g: mut lin_g,
+            i0: mut lin_i0,
+        } = lin;
+        let width = vb.first().map_or(0, |row| row.len());
+        let mut st = BandStats::default();
+        let mut c0 = 0;
+        while c0 < width {
+            let t_n = LINE_BATCH.min(width - c0);
+            let j0 = c_lo + c0;
+            let mut near = [(0.0f64, 0.0f64); LINE_BATCH];
+            let mut far = [(0.0f64, 0.0f64); LINE_BATCH];
+            for t in 0..t_n {
+                near[t] = cp.bl_near(j0 + t).stamp();
+                far[t] = cp.bl_far(j0 + t).stamp();
+            }
+            #[allow(clippy::needless_range_loop)] // indexes several parallel arrays
+            for i in 0..rows {
+                let base = i * cols + j0;
+                let vbr = &vb[i][c0..c0 + t_n];
+                let vwr = &vw[base..base + t_n];
+                let cr = &cells[base..base + t_n];
+                if let Some(e) = eps {
+                    let lv = &mut lin_v[i][c0..c0 + t_n];
+                    let lg = &mut lin_g[i][c0..c0 + t_n];
+                    let li = &mut lin_i0[i][c0..c0 + t_n];
+                    st.lookups += t_n as u64;
+                    for t in 0..t_n {
+                        let v = vbr[t] - vwr[t];
+                        if (v - lv[t]).abs() <= e {
+                            st.hits += 1;
+                        } else {
+                            let (g, i0) = cr[t].linearize(v);
+                            lv[t] = v;
+                            lg[t] = g;
+                            li[t] = i0;
+                        }
+                        stamp_node(
+                            i,
+                            rows,
+                            i * t_n + t,
+                            lg[t],
+                            leak,
+                            -li[t],
+                            vwr[t],
+                            g_bl,
+                            near[t],
+                            far[t],
+                            diag,
+                            rhs,
+                        );
+                    }
+                } else {
+                    for t in 0..t_n {
+                        let (g, i0) = cr[t].linearize(vbr[t] - vwr[t]);
+                        stamp_node(
+                            i,
+                            rows,
+                            i * t_n + t,
+                            g,
+                            leak,
+                            -i0,
+                            vwr[t],
+                            g_bl,
+                            near[t],
+                            far[t],
+                            diag,
+                            rhs,
+                        );
+                    }
+                }
+            }
+            let m = t_n * rows;
+            solve_tridiagonal_batch_const(t_n, rows, -g_bl, &mut diag[..m], &mut rhs[..m])
+                .map_err(|(t, _)| SolveError::SingularLine {
+                    line: rows + j0 + t,
+                })?;
+            for (i, row) in vb.iter_mut().enumerate() {
+                for (t, b) in row[c0..c0 + t_n].iter_mut().enumerate() {
+                    let dv = (rhs[i * t_n + t] - *b).clamp(-max_step, max_step);
+                    *b += dv;
+                    st.max_dv = st.max_dv.max(dv.abs());
+                }
+            }
+            c0 += t_n;
+        }
+        Ok(st)
+    }
+
+    /// One full sweep on the workspace planes — every word-line band, then
+    /// every bit-line band, each phase's bands run concurrently. Returns
+    /// the largest node update.
+    fn sweep(&self, ws: &mut SolverWorkspace) -> Result<f64, SolveError> {
+        let SolverWorkspace {
+            vw,
+            vb,
+            lin_v,
+            lin_g,
+            lin_i0,
+            diag,
+            rhs,
+            last_cache_hits,
+            last_cache_lookups,
+            ..
+        } = ws;
+        let (rows, cols) = (self.rows, self.cols);
+        // Every band gets its own interleaved-batch scratch.
+        let scratch = LINE_BATCH * rows.max(cols);
+        let bands = (self.wl_bounds.len().max(self.bl_bounds.len()) - 1).max(1);
+        for buf in [&mut *diag, &mut *rhs] {
+            if buf.len() < bands * scratch {
+                buf.resize(bands * scratch, 0.0);
             }
         }
-        *max_dv = max_dv.max(out.max_dv);
-        ws.last_cache_hits += out.hits;
-        ws.last_cache_lookups += out.lookups;
+        // With the cache off, every band's cache slices are empty.
+        let n_cache = if self.eps.is_some() { rows * cols } else { 0 };
+
+        let bounds = &self.wl_bounds;
+        let jobs: Vec<_> = bounds
+            .windows(2)
+            .zip(row_bands(vw, bounds, cols))
+            .zip(cache_bands(
+                row_bands(&mut lin_v[..n_cache], bounds, cols),
+                row_bands(&mut lin_g[..n_cache], bounds, cols),
+                row_bands(&mut lin_i0[..n_cache], bounds, cols),
+            ))
+            .zip(diag.chunks_mut(scratch).zip(rhs.chunks_mut(scratch)))
+            .map(|(((w, vw_band), lin), (d, r))| {
+                let vb_band = &vb[w[0] * cols..w[1] * cols];
+                move || self.wl_band(w[0], vw_band, vb_band, lin, d, r)
+            })
+            .collect();
+        let wl = merge_bands(run_bands(jobs))?;
+
+        let bounds = &self.bl_bounds;
+        let vw: &[f64] = vw;
+        let jobs: Vec<_> = bounds
+            .windows(2)
+            .zip(col_bands(vb, bounds, cols))
+            .zip(cache_bands(
+                col_bands(&mut lin_v[..n_cache], bounds, cols),
+                col_bands(&mut lin_g[..n_cache], bounds, cols),
+                col_bands(&mut lin_i0[..n_cache], bounds, cols),
+            ))
+            .zip(diag.chunks_mut(scratch).zip(rhs.chunks_mut(scratch)))
+            .map(|(((w, mut vb_band), lin), (d, r))| {
+                move || self.bl_band(w[0], &mut vb_band, vw, lin, d, r)
+            })
+            .collect();
+        let bl = merge_bands(run_bands(jobs))?;
+
+        *last_cache_hits += wl.hits + bl.hits;
+        *last_cache_lookups += wl.lookups + bl.lookups;
+        Ok(wl.max_dv.max(bl.max_dv))
     }
-    Ok(())
 }
 
 impl Crosspoint {
@@ -712,18 +731,14 @@ impl Crosspoint {
     ///
     /// Exactly as [`Crosspoint::solve`].
     pub fn solve_observed(&self, opts: &SolveOptions, obs: &Obs) -> Result<Solution, SolveError> {
-        let mut ws = SolverWorkspace::new();
-        let stats = self.solve_tracked(opts, &mut ws, obs, false)?;
-        let mut sol = Solution::empty();
-        self.fill_solution(&ws.vw, &ws.vb, &ws.cur, stats, &mut sol);
-        Ok(sol)
+        self.solve_warm_observed(opts, &mut SolverWorkspace::new(), obs)
     }
 
     /// [`Crosspoint::solve`] with a reusable [`SolverWorkspace`]: starts
     /// from the workspace's previous converged operating point when its
     /// dimensions match (cold-starting otherwise), reuses every scratch
-    /// allocation, keeps the linearization cache across calls, and fans the
-    /// per-line solves over the workspace's pool if one is attached.
+    /// allocation, keeps the linearization cache across calls, and relaxes
+    /// each phase in bands over the workspace's threads.
     ///
     /// A warm start changes the iteration *path*, not the answer: both
     /// starts converge to within [`SolveOptions::tol_volts`] /
@@ -743,9 +758,8 @@ impl Crosspoint {
 
     /// [`Crosspoint::solve_warm`] with telemetry (see
     /// [`Crosspoint::solve_observed`]); additionally counts
-    /// `circuit.solve.warm_hits`, records the per-solve
-    /// `circuit.solve.cache.skip_ratio`, and times parallel phases under
-    /// `circuit.solve.par_phase_ns`.
+    /// `circuit.solve.warm_hits` and records the per-solve
+    /// `circuit.solve.cache.skip_ratio`.
     ///
     /// # Errors
     ///
@@ -756,7 +770,7 @@ impl Crosspoint {
         ws: &mut SolverWorkspace,
         obs: &Obs,
     ) -> Result<Solution, SolveError> {
-        let stats = self.solve_tracked(opts, ws, obs, false)?;
+        let stats = self.solve_tracked(opts, ws, obs)?;
         let mut sol = Solution::empty();
         self.fill_solution(&ws.vw, &ws.vb, &ws.cur, stats, &mut sol);
         Ok(sol)
@@ -776,79 +790,7 @@ impl Crosspoint {
         opts: &SolveOptions,
         ws: &'w mut SolverWorkspace,
     ) -> Result<&'w Solution, SolveError> {
-        let stats = self.solve_tracked(opts, ws, &Obs::off(), false)?;
-        let sol = ws.sol.get_or_insert_with(Solution::empty);
-        self.fill_solution(&ws.vw, &ws.vb, &ws.cur, stats, sol);
-        Ok(sol)
-    }
-
-    /// [`Crosspoint::solve_warm`] with settled-line skipping: line batches
-    /// whose every line is provably at its exact fixed point (see the
-    /// module docs) are not re-relaxed, so when few cells changed since the
-    /// previous incremental solve through this workspace, each sweep costs
-    /// only the electrically affected lines. The result — [`Solution`] and
-    /// [`SolveStats`] — is bitwise-identical to what [`Crosspoint::solve_warm`]
-    /// would have produced on a workspace with the same solve history (only
-    /// cache-telemetry counters may differ); `tests/incremental.rs`
-    /// property-tests the identity.
-    ///
-    /// Boundary-source, wire-resistance, and option changes between solves
-    /// are detected automatically; *device* changes must be declared via
-    /// [`SolverWorkspace::note_cells_changed`] (or the blunt
-    /// [`SolverWorkspace::note_all_changed`]) before the call — an
-    /// undeclared device swap voids the identity guarantee. Incremental
-    /// solves always relax serially (the point is to do less work, not to
-    /// fan it out), and only pay off with
-    /// [`SolveOptions::lin_cache_epsilon_volts`] enabled: without the
-    /// cache, a line's stamps go through the device model every sweep and
-    /// lines rarely reach a bitwise fixed point.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`Crosspoint::solve_warm`]. After any error the warm seed
-    /// and the settled flags are effectively dropped — the next solve
-    /// cold-starts and re-relaxes everything.
-    pub fn solve_incremental(
-        &self,
-        opts: &SolveOptions,
-        ws: &mut SolverWorkspace,
-    ) -> Result<Solution, SolveError> {
-        self.solve_incremental_observed(opts, ws, &Obs::off())
-    }
-
-    /// [`Crosspoint::solve_incremental`] with telemetry (see
-    /// [`Crosspoint::solve_warm_observed`]); additionally records the
-    /// per-solve `circuit.solve.incremental.skip_ratio` (fraction of line
-    /// relaxations skipped as settled).
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`Crosspoint::solve_incremental`].
-    pub fn solve_incremental_observed(
-        &self,
-        opts: &SolveOptions,
-        ws: &mut SolverWorkspace,
-        obs: &Obs,
-    ) -> Result<Solution, SolveError> {
-        let stats = self.solve_tracked(opts, ws, obs, true)?;
-        let mut sol = Solution::empty();
-        self.fill_solution(&ws.vw, &ws.vb, &ws.cur, stats, &mut sol);
-        Ok(sol)
-    }
-
-    /// [`Crosspoint::solve_incremental`] without the per-call [`Solution`]
-    /// allocations (the incremental twin of [`Crosspoint::solve_into`]).
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`Crosspoint::solve_incremental`]; on error the
-    /// workspace's previous solution buffer is left unchanged.
-    pub fn solve_incremental_into<'w>(
-        &self,
-        opts: &SolveOptions,
-        ws: &'w mut SolverWorkspace,
-    ) -> Result<&'w Solution, SolveError> {
-        let stats = self.solve_tracked(opts, ws, &Obs::off(), true)?;
+        let stats = self.solve_tracked(opts, ws, &Obs::off())?;
         let sol = ws.sol.get_or_insert_with(Solution::empty);
         self.fill_solution(&ws.vw, &ws.vb, &ws.cur, stats, sol);
         Ok(sol)
@@ -861,10 +803,9 @@ impl Crosspoint {
         opts: &SolveOptions,
         ws: &mut SolverWorkspace,
         obs: &Obs,
-        incremental: bool,
     ) -> Result<SolveStats, SolveError> {
         let span = obs.span("circuit.solve.wall_ns");
-        let res = self.solve_core(opts, ws, obs, incremental);
+        let res = self.solve_core(opts, ws);
         drop(span);
         if obs.enabled() {
             obs.counter("circuit.solve.solves").inc();
@@ -874,11 +815,6 @@ impl Crosspoint {
             if ws.last_cache_lookups > 0 {
                 obs.hist("circuit.solve.cache.skip_ratio")
                     .record(ws.cache_skip_ratio());
-            }
-            let lines = ws.last_lines_skipped + ws.last_lines_relaxed;
-            if incremental && lines > 0 {
-                obs.hist("circuit.solve.incremental.skip_ratio")
-                    .record(ws.last_lines_skipped as f64 / lines as f64);
             }
             match &res {
                 Ok(stats) => {
@@ -917,14 +853,10 @@ impl Crosspoint {
         &self,
         opts: &SolveOptions,
         ws: &mut SolverWorkspace,
-        obs: &Obs,
-        incremental: bool,
     ) -> Result<SolveStats, SolveError> {
         ws.last_warm = false;
         ws.last_cache_hits = 0;
         ws.last_cache_lookups = 0;
-        ws.last_lines_skipped = 0;
-        ws.last_lines_relaxed = 0;
         if !self.has_source() {
             return Err(SolveError::NoSource);
         }
@@ -975,63 +907,23 @@ impl Crosspoint {
             self.initial_guess_into(&mut ws.vw, &mut ws.vb);
         }
 
-        // Settled-line bookkeeping for incremental solves (see the module
-        // docs). The previous solve's flags are only meaningful if that
-        // solve was also incremental of these dimensions, its converged
-        // planes survive as this solve's warm seed, and every relax input
-        // that is not per-line — options, wire conductances — is bitwise
-        // unchanged; otherwise every line starts dirty. Per-line boundary
-        // stamps are diffed individually so a bias change (e.g. a DRVR
-        // level step on a few lines) dirties only the lines it drives.
-        let track = incremental;
-        if track {
-            let wire = (self.r_wire_wl().to_bits(), self.r_wire_bl().to_bits());
-            let prior_valid = warm
-                && ws.settle_dims == Some((rows, cols))
-                && ws.last_opts == Some(*opts)
-                && ws.last_wire == Some(wire);
-            if prior_valid {
-                for i in 0..rows {
-                    let s = (self.wl_left(i).stamp(), self.wl_right(i).stamp());
-                    if !stamp_eq(s, ws.last_wl_stamps[i]) {
-                        ws.settled_wl[i] = false;
-                        ws.last_wl_stamps[i] = s;
-                    }
-                }
-                for j in 0..cols {
-                    let s = (self.bl_near(j).stamp(), self.bl_far(j).stamp());
-                    if !stamp_eq(s, ws.last_bl_stamps[j]) {
-                        ws.settled_bl[j] = false;
-                        ws.last_bl_stamps[j] = s;
-                    }
-                }
-            } else {
-                ws.settled_wl.clear();
-                ws.settled_wl.resize(rows, false);
-                ws.settled_bl.clear();
-                ws.settled_bl.resize(cols, false);
-                ws.last_wl_stamps.clear();
-                ws.last_wl_stamps
-                    .extend((0..rows).map(|i| (self.wl_left(i).stamp(), self.wl_right(i).stamp())));
-                ws.last_bl_stamps.clear();
-                ws.last_bl_stamps
-                    .extend((0..cols).map(|j| (self.bl_near(j).stamp(), self.bl_far(j).stamp())));
-            }
-            ws.settle_dims = Some((rows, cols));
-            ws.last_opts = Some(*opts);
-            ws.last_wire = Some(wire);
-        } else {
-            // Non-incremental solves relax every line but do not maintain
-            // the flags, so whatever state they leave behind is stale.
-            ws.settle_dims = None;
-        }
-
-        // `None` disables the cache outright; it is also how the stall
+        // `eps: None` disables the cache outright; it is also how the stall
         // recovery below retires a cache that twice failed the exact
         // residual check.
-        let mut eps_active = opts.lin_cache_epsilon_volts;
+        let mut relax = Relax {
+            cp: self,
+            rows,
+            cols,
+            g_wl,
+            g_bl,
+            leak,
+            max_step: opts.max_step_volts,
+            eps: opts.lin_cache_epsilon_volts,
+            wl_bounds: band_bounds(rows, ws.threads),
+            bl_bounds: band_bounds(cols, ws.threads),
+        };
         let mut cache_stalls = 0u32;
-        if eps_active.is_some() && ws.cache_dims != Some((rows, cols)) {
+        if relax.eps.is_some() && ws.cache_dims != Some((rows, cols)) {
             ws.lin_v.clear();
             ws.lin_v.resize(n, f64::NAN);
             ws.lin_g.clear();
@@ -1040,40 +932,6 @@ impl Crosspoint {
             ws.lin_i0.resize(n, 0.0);
             ws.cache_dims = Some((rows, cols));
         }
-
-        // Both serial phases assemble up to LINE_BATCH line systems at once.
-        let scratch = LINE_BATCH * rows.max(cols);
-        for buf in [&mut ws.diag, &mut ws.rhs] {
-            buf.clear();
-            buf.resize(scratch, 0.0);
-        }
-
-        // Parallelism needs at least two pool workers to ever pay for its
-        // snapshotting: with one worker the fan-out is serial execution plus
-        // dispatch overhead, so fall through to the in-place loops (which
-        // compute bitwise-identical results anyway). Cold solves also stay
-        // serial unless the threshold is the explicit force value `0`: a
-        // cold start burns most of its sweeps far from convergence where
-        // the linearization cache misses, and measured cold fan-out is a
-        // wash at 512×512 and a regression below (BENCH_solver.json) — the
-        // parallel path earns its snapshots on warm, cache-hot sweeps.
-        // Incremental solves always relax serially: settled-line skipping
-        // is per-batch bookkeeping the chunked fan-out cannot see.
-        let par: Option<(Arc<ThreadPool>, Arc<ParPlan>)> = if incremental {
-            None
-        } else {
-            ws.pool
-                .as_ref()
-                .filter(|p| {
-                    p.workers() >= 2 && n >= ws.par_min_cells && (warm || ws.par_min_cells == 0)
-                })
-                .map(|p| {
-                    (
-                        Arc::clone(p),
-                        Arc::new(ParPlan::new(self, opts, p.workers())),
-                    )
-                })
-        };
 
         let mut converged = None;
         // Residual trajectory for NotConverged diagnostics: sampled a few
@@ -1088,289 +946,12 @@ impl Crosspoint {
         // true sweep count instead of burning the whole budget.
         let mut dead_sweeps = 0u32;
         for sweep in 0..opts.max_sweeps {
-            let mut max_dv = 0.0f64;
-
-            if let Some((pool, plan)) = &par {
-                {
-                    let _phase = obs.span("circuit.solve.par_phase_ns");
-                    par_phase_wl(pool, plan, ws, eps_active, &mut max_dv)?;
-                }
-                {
-                    let _phase = obs.span("circuit.solve.par_phase_ns");
-                    par_phase_bl(pool, plan, ws, eps_active, &mut max_dv)?;
-                }
-            } else {
-                let SolverWorkspace {
-                    vw,
-                    vb,
-                    lin_v,
-                    lin_g,
-                    lin_i0,
-                    diag,
-                    rhs,
-                    last_cache_hits,
-                    last_cache_lookups,
-                    settled_wl,
-                    settled_bl,
-                    last_lines_skipped,
-                    last_lines_relaxed,
-                    ..
-                } = &mut *ws;
-                let cells = self.cells();
-
-                // Word-line sweeps: solve vw[i][*] holding vb fixed, up to
-                // LINE_BATCH rows per interleaved batch (see the constant's
-                // docs). Node j of batch-local row t lives at scratch slot
-                // j*t_n + t. Fixed row windows let the compiler drop the
-                // per-cell bounds checks on all five planes.
-                let mut r0 = 0;
-                while r0 < rows {
-                    let t_n = LINE_BATCH.min(rows - r0);
-                    // A batch is skipped only when *every* line in it is
-                    // settled — each skipped relax is then a provable
-                    // bitwise no-op (module docs), so the sweep's arithmetic
-                    // is exactly the full schedule minus no-ops.
-                    if track && settled_wl[r0..r0 + t_n].iter().all(|&s| s) {
-                        *last_lines_skipped += t_n as u64;
-                        r0 += t_n;
-                        continue;
-                    }
-                    *last_lines_relaxed += t_n as u64;
-                    let mut dirty = [false; LINE_BATCH];
-                    #[allow(clippy::needless_range_loop)] // indexes several parallel arrays
-                    for t in 0..t_n {
-                        let i = r0 + t;
-                        let (gl, vl) = self.wl_left(i).stamp();
-                        let (gr, vr) = self.wl_right(i).stamp();
-                        let base = i * cols;
-                        let vbr = &vb[base..base + cols];
-                        let vwr = &vw[base..base + cols];
-                        let cr = &cells[base..base + cols];
-                        if let Some(e) = eps_active {
-                            let lv = &mut lin_v[base..base + cols];
-                            let lg = &mut lin_g[base..base + cols];
-                            let li = &mut lin_i0[base..base + cols];
-                            *last_cache_lookups += cols as u64;
-                            for j in 0..cols {
-                                let v = vbr[j] - vwr[j];
-                                if (v - lv[j]).abs() <= e {
-                                    *last_cache_hits += 1;
-                                } else {
-                                    let (g, i0) = cr[j].linearize(v);
-                                    // A cache entry is an input to both
-                                    // lines crossing at (i, j): a bitwise
-                                    // change unsettles this row (it cannot
-                                    // settle this relax) and the crossing
-                                    // column.
-                                    if track
-                                        && (lv[j].to_bits() != v.to_bits()
-                                            || lg[j].to_bits() != g.to_bits()
-                                            || li[j].to_bits() != i0.to_bits())
-                                    {
-                                        dirty[t] = true;
-                                        settled_bl[j] = false;
-                                    }
-                                    lv[j] = v;
-                                    lg[j] = g;
-                                    li[j] = i0;
-                                }
-                                stamp_node(
-                                    j,
-                                    cols,
-                                    j * t_n + t,
-                                    lg[j],
-                                    leak,
-                                    li[j],
-                                    vbr[j],
-                                    g_wl,
-                                    (gl, vl),
-                                    (gr, vr),
-                                    diag,
-                                    rhs,
-                                );
-                            }
-                        } else {
-                            for j in 0..cols {
-                                let (g, i0) = cr[j].linearize(vbr[j] - vwr[j]);
-                                stamp_node(
-                                    j,
-                                    cols,
-                                    j * t_n + t,
-                                    g,
-                                    leak,
-                                    i0,
-                                    vbr[j],
-                                    g_wl,
-                                    (gl, vl),
-                                    (gr, vr),
-                                    diag,
-                                    rhs,
-                                );
-                            }
-                        }
-                    }
-                    let m = t_n * cols;
-                    solve_tridiagonal_batch_const(t_n, cols, -g_wl, &mut diag[..m], &mut rhs[..m])
-                        .map_err(|(t, _)| SolveError::SingularLine { line: r0 + t })?;
-                    for t in 0..t_n {
-                        let base = (r0 + t) * cols;
-                        let vwr = &mut vw[base..base + cols];
-                        if track {
-                            let mut d = dirty[t];
-                            for (j, w) in vwr.iter_mut().enumerate() {
-                                let dv = (rhs[j * t_n + t] - *w)
-                                    .clamp(-opts.max_step_volts, opts.max_step_volts);
-                                let old = *w;
-                                *w += dv;
-                                max_dv = max_dv.max(dv.abs());
-                                if old.to_bits() != w.to_bits() {
-                                    d = true;
-                                    settled_bl[j] = false;
-                                } else if dv != 0.0 {
-                                    // Sub-ulp update: the value bits stood
-                                    // still but `dv` was not the exact zero
-                                    // a re-relax must reproduce in the
-                                    // `max_delta_volts` fold — not settled.
-                                    d = true;
-                                }
-                            }
-                            settled_wl[r0 + t] = !d;
-                        } else {
-                            for (j, w) in vwr.iter_mut().enumerate() {
-                                let dv = (rhs[j * t_n + t] - *w)
-                                    .clamp(-opts.max_step_volts, opts.max_step_volts);
-                                *w += dv;
-                                max_dv = max_dv.max(dv.abs());
-                            }
-                        }
-                    }
-                    r0 += t_n;
-                }
-
-                // Bit-line sweeps: solve vb[*][j] holding vw fixed, up to
-                // LINE_BATCH adjacent columns per plane pass (see the
-                // constant's docs). Node i of batch-local column t lives at
-                // scratch slot i*t_n + t; the stamp is shared with the WL
-                // phase by negating i0 (see `stamp_node`).
-                let mut c0 = 0;
-                while c0 < cols {
-                    let t_n = LINE_BATCH.min(cols - c0);
-                    if track && settled_bl[c0..c0 + t_n].iter().all(|&s| s) {
-                        *last_lines_skipped += t_n as u64;
-                        c0 += t_n;
-                        continue;
-                    }
-                    *last_lines_relaxed += t_n as u64;
-                    let mut dirty = [false; LINE_BATCH];
-                    let mut near = [(0.0f64, 0.0f64); LINE_BATCH];
-                    let mut far = [(0.0f64, 0.0f64); LINE_BATCH];
-                    for t in 0..t_n {
-                        near[t] = self.bl_near(c0 + t).stamp();
-                        far[t] = self.bl_far(c0 + t).stamp();
-                    }
-                    #[allow(clippy::needless_range_loop)] // indexes several parallel arrays
-                    for i in 0..rows {
-                        let base = i * cols + c0;
-                        let vbr = &vb[base..base + t_n];
-                        let vwr = &vw[base..base + t_n];
-                        let cr = &cells[base..base + t_n];
-                        if let Some(e) = eps_active {
-                            let lv = &mut lin_v[base..base + t_n];
-                            let lg = &mut lin_g[base..base + t_n];
-                            let li = &mut lin_i0[base..base + t_n];
-                            *last_cache_lookups += t_n as u64;
-                            for t in 0..t_n {
-                                let v = vbr[t] - vwr[t];
-                                if (v - lv[t]).abs() <= e {
-                                    *last_cache_hits += 1;
-                                } else {
-                                    let (g, i0) = cr[t].linearize(v);
-                                    if track
-                                        && (lv[t].to_bits() != v.to_bits()
-                                            || lg[t].to_bits() != g.to_bits()
-                                            || li[t].to_bits() != i0.to_bits())
-                                    {
-                                        dirty[t] = true;
-                                        settled_wl[i] = false;
-                                    }
-                                    lv[t] = v;
-                                    lg[t] = g;
-                                    li[t] = i0;
-                                }
-                                stamp_node(
-                                    i,
-                                    rows,
-                                    i * t_n + t,
-                                    lg[t],
-                                    leak,
-                                    -li[t],
-                                    vwr[t],
-                                    g_bl,
-                                    near[t],
-                                    far[t],
-                                    diag,
-                                    rhs,
-                                );
-                            }
-                        } else {
-                            for t in 0..t_n {
-                                let (g, i0) = cr[t].linearize(vbr[t] - vwr[t]);
-                                stamp_node(
-                                    i,
-                                    rows,
-                                    i * t_n + t,
-                                    g,
-                                    leak,
-                                    -i0,
-                                    vwr[t],
-                                    g_bl,
-                                    near[t],
-                                    far[t],
-                                    diag,
-                                    rhs,
-                                );
-                            }
-                        }
-                    }
-                    let m = t_n * rows;
-                    solve_tridiagonal_batch_const(t_n, rows, -g_bl, &mut diag[..m], &mut rhs[..m])
-                        .map_err(|(t, _)| SolveError::SingularLine {
-                            line: rows + c0 + t,
-                        })?;
-                    for i in 0..rows {
-                        let base = i * cols + c0;
-                        let vbr = &mut vb[base..base + t_n];
-                        if track {
-                            for (t, b) in vbr.iter_mut().enumerate() {
-                                let dv = (rhs[i * t_n + t] - *b)
-                                    .clamp(-opts.max_step_volts, opts.max_step_volts);
-                                let old = *b;
-                                *b += dv;
-                                max_dv = max_dv.max(dv.abs());
-                                if old.to_bits() != b.to_bits() {
-                                    dirty[t] = true;
-                                    settled_wl[i] = false;
-                                } else if dv != 0.0 {
-                                    dirty[t] = true;
-                                }
-                            }
-                        } else {
-                            for (t, b) in vbr.iter_mut().enumerate() {
-                                let dv = (rhs[i * t_n + t] - *b)
-                                    .clamp(-opts.max_step_volts, opts.max_step_volts);
-                                *b += dv;
-                                max_dv = max_dv.max(dv.abs());
-                            }
-                        }
-                    }
-                    if track {
-                        for t in 0..t_n {
-                            settled_bl[c0 + t] = !dirty[t];
-                        }
-                    }
-                    c0 += t_n;
-                }
-            }
+            let max_dv = relax.sweep(ws).inspect_err(|_| {
+                // A singular line stops each band at its own first failure,
+                // so how far the cache got depends on the thread count:
+                // drop it rather than let that leak into later solves.
+                ws.invalidate_cache();
+            })?;
 
             if !max_dv.is_finite() {
                 return Err(SolveError::Diverged { sweep });
@@ -1392,20 +973,13 @@ impl Crosspoint {
                 // swapped between warm solves). Refresh the cache — and on
                 // repeat offense retire it — rather than fail a solvable
                 // system.
-                if eps_active.is_some() {
+                if relax.eps.is_some() {
                     if cache_stalls < 2 {
                         ws.lin_v.fill(f64::NAN);
                     } else {
-                        eps_active = None;
+                        relax.eps = None;
                     }
                     cache_stalls += 1;
-                    // Either arm changed every line's relax inputs (cache
-                    // entries wiped, or the cached arm abandoned): nothing
-                    // stays settled.
-                    if track {
-                        ws.settled_wl.fill(false);
-                        ws.settled_bl.fill(false);
-                    }
                 } else {
                     // No cache left to refresh: the stall is terminal once
                     // it survives a few confirming sweeps.
@@ -1438,14 +1012,6 @@ impl Crosspoint {
                 ws.seeded = Some((rows, cols));
                 if warm {
                     ws.warm_hits_total += 1;
-                }
-                // A cache retired mid-solve leaves flags that were earned
-                // under uncached relaxation; the next solve re-arms the
-                // cache from `opts`, under which those relaxes would write
-                // entries and not be no-ops. Drop them.
-                if track && eps_active.is_none() && opts.lin_cache_epsilon_volts.is_some() {
-                    ws.settled_wl.fill(false);
-                    ws.settled_bl.fill(false);
                 }
                 Ok(stats)
             }

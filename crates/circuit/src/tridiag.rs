@@ -18,6 +18,7 @@
 /// # Panics
 ///
 /// Panics (in debug builds) if the slices disagree in length.
+#[cfg_attr(not(test), allow(dead_code))] // reference kernel for the batch tests
 pub(crate) fn solve_tridiagonal(
     sub: &[f64],
     diag: &mut [f64],

@@ -3,40 +3,32 @@
 //! A [`SolverWorkspace`] owns everything a solve needs beyond the network
 //! itself: the working voltage planes (which double as the warm-start seed
 //! for the next solve), the tridiagonal scratch buffers, the per-cell
-//! linearization cache, an optional [`reram_exec::ThreadPool`] for parallel
-//! line relaxation, and a reusable output [`Solution`]. Callers that solve
-//! the same (or a slowly-varying) network many times — validation grids,
-//! voltage ramps, figure sweeps — hold one workspace and call
+//! linearization cache, the number of threads the relaxation kernel runs
+//! its line bands on, and a reusable output [`Solution`]. Callers that
+//! solve the same (or a slowly-varying) network many times — validation
+//! grids, voltage ramps, figure sweeps — hold one workspace and call
 //! [`Crosspoint::solve_warm`](crate::Crosspoint::solve_warm) or
 //! [`Crosspoint::solve_into`](crate::Crosspoint::solve_into) instead of
 //! [`Crosspoint::solve`](crate::Crosspoint::solve), so each solve starts
 //! from the previous operating point and reuses every allocation.
 
-use crate::solve::{Solution, SolveOptions};
-use reram_exec::ThreadPool;
+use crate::solve::Solution;
 use reram_fault::FaultInjector;
 use std::sync::Arc;
 
-/// Default minimum cell count (`rows × cols`) below which a workspace with
-/// a pool still relaxes lines serially: the per-sweep fan-out overhead
-/// outweighs the tridiagonal work on small arrays.
-pub const DEFAULT_PAR_MIN_CELLS: usize = 64 * 64;
-
-/// Scratch vectors, warm-start seed, linearization cache and (optional)
-/// parallel fan-out pool, reused across solves.
+/// Scratch vectors, warm-start seed, linearization cache and relaxation
+/// thread count, reused across solves.
 ///
 /// Create one per solving thread with [`SolverWorkspace::new`], optionally
-/// attach a pool via [`SolverWorkspace::with_pool`], and pass it to the
-/// `solve_warm*` / `solve_into` entry points. The workspace adapts to
-/// whatever network dimensions it is handed; a dimension change simply
-/// drops the seed and cache.
+/// spread each relaxation phase over more cores via
+/// [`SolverWorkspace::with_threads`], and pass it to the `solve_warm*` /
+/// `solve_into` entry points. The workspace adapts to whatever network
+/// dimensions it is handed; a dimension change simply drops the seed and
+/// cache.
 #[derive(Debug)]
 pub struct SolverWorkspace {
-    /// Pool for parallel line relaxation; `None` (or a pool with zero
-    /// workers) keeps every sweep serial.
-    pub(crate) pool: Option<Arc<ThreadPool>>,
-    /// Minimum `rows × cols` for the parallel path to engage.
-    pub(crate) par_min_cells: usize,
+    /// Threads each relaxation phase is split across (≥ 1).
+    pub(crate) threads: usize,
     /// Working WL-plane voltages; after a successful solve these hold the
     /// converged operating point and seed the next warm solve.
     pub(crate) vw: Vec<f64>,
@@ -45,9 +37,9 @@ pub struct SolverWorkspace {
     /// `Some((rows, cols))` when `vw`/`vb` hold a converged solution of
     /// those dimensions usable as a warm seed.
     pub(crate) seeded: Option<(usize, usize)>,
-    /// Tridiagonal scratch (serial path), sized for one interleaved batch
-    /// of line systems; only the diagonal and RHS are stored — the used
-    /// off-diagonals of a cross-point line system are all `-g_wire`.
+    /// Tridiagonal scratch, one interleaved batch of line systems per
+    /// band; only the diagonal and RHS are stored — the used off-diagonals
+    /// of a cross-point line system are all `-g_wire`.
     pub(crate) diag: Vec<f64>,
     pub(crate) rhs: Vec<f64>,
     /// Nonlinear cell currents evaluated at the most recent KCL residual
@@ -76,31 +68,6 @@ pub struct SolverWorkspace {
     /// Fault-injection plane and the (site, target) scope this workspace
     /// fires under; `None` disables injection entirely.
     pub(crate) faults: Option<(Arc<FaultInjector>, String)>,
-    /// Per-word-line settled flags for incremental solves: `true` means the
-    /// line's last relaxation produced zero bitwise change and none of its
-    /// inputs has changed since, so re-relaxing it is provably a no-op.
-    pub(crate) settled_wl: Vec<bool>,
-    /// Per-bit-line settled flags (see [`Self::settled_wl`]).
-    pub(crate) settled_bl: Vec<bool>,
-    /// Dimensions the settled flags belong to; `None` until an incremental
-    /// solve has run (any non-incremental solve clears it, because only
-    /// incremental solves maintain the flags).
-    pub(crate) settle_dims: Option<(usize, usize)>,
-    /// Per-word-line boundary stamps of the previous incremental solve;
-    /// diffed at the next solve to auto-detect bias changes per line.
-    pub(crate) last_wl_stamps: Vec<((f64, f64), (f64, f64))>,
-    /// Per-bit-line boundary stamps (see [`Self::last_wl_stamps`]).
-    pub(crate) last_bl_stamps: Vec<((f64, f64), (f64, f64))>,
-    /// Options of the previous incremental solve; a mismatch invalidates
-    /// every settled flag (tolerances and cache epsilon are relax inputs).
-    pub(crate) last_opts: Option<SolveOptions>,
-    /// Wire resistance fingerprint `(r_wire_wl, r_wire_bl)` of the
-    /// previous incremental solve, compared bitwise.
-    pub(crate) last_wire: Option<(u64, u64)>,
-    /// Line relaxations skipped as settled in the most recent solve.
-    pub(crate) last_lines_skipped: u64,
-    /// Line relaxations actually performed in the most recent solve.
-    pub(crate) last_lines_relaxed: u64,
 }
 
 impl Default for SolverWorkspace {
@@ -110,12 +77,11 @@ impl Default for SolverWorkspace {
 }
 
 impl SolverWorkspace {
-    /// An empty workspace: cold first solve, serial sweeps, no pool.
+    /// An empty workspace: cold first solve, one relaxation thread.
     #[must_use]
     pub fn new() -> Self {
         Self {
-            pool: None,
-            par_min_cells: DEFAULT_PAR_MIN_CELLS,
+            threads: 1,
             vw: Vec::new(),
             vb: Vec::new(),
             seeded: None,
@@ -132,36 +98,19 @@ impl SolverWorkspace {
             warm_hits_total: 0,
             sol: None,
             faults: None,
-            settled_wl: Vec::new(),
-            settled_bl: Vec::new(),
-            settle_dims: None,
-            last_wl_stamps: Vec::new(),
-            last_bl_stamps: Vec::new(),
-            last_opts: None,
-            last_wire: None,
-            last_lines_skipped: 0,
-            last_lines_relaxed: 0,
         }
     }
 
-    /// Attaches a thread pool: sweeps over networks with at least
-    /// [`DEFAULT_PAR_MIN_CELLS`] cells (configurable via
-    /// [`SolverWorkspace::with_par_threshold`]) fan their independent line
-    /// solves over it, bitwise-identical to the serial schedule. Pools
-    /// with fewer than two workers (including [`ThreadPool::serial`])
-    /// take the serial path outright — fan-out can only lose there.
+    /// Splits each relaxation phase into up to `threads` contiguous bands
+    /// of lines, relaxed concurrently on scoped threads (`0` counts as
+    /// `1`). Bands are whole interleaved batches of lines, so an array
+    /// with fewer batches than threads uses fewer threads. Every line's
+    /// system is built, solved and applied with the one-thread arithmetic,
+    /// so any thread count gives bitwise the same solution and
+    /// [`SolveStats`](crate::SolveStats).
     #[must_use]
-    pub fn with_pool(mut self, pool: Arc<ThreadPool>) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
-    /// Overrides the minimum cell count for parallel line relaxation;
-    /// `0` forces the parallel path whenever a pool with workers is
-    /// attached (useful for identity tests).
-    #[must_use]
-    pub fn with_par_threshold(mut self, min_cells: usize) -> Self {
-        self.par_min_cells = min_cells;
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads.max(1);
         self
     }
 
@@ -216,14 +165,14 @@ impl SolverWorkspace {
         self.seeded = None;
     }
 
-    /// Invalidates every linearization-cache entry. Call after mutating
-    /// cell devices between warm solves to skip the (automatic, but
-    /// slower) stall-detect-and-retry recovery. Cache entries are inputs
-    /// to settled-line skipping, so this also marks every line dirty for
-    /// the next [`Crosspoint::solve_incremental`](crate::Crosspoint::solve_incremental).
+    /// Invalidates every linearization-cache entry. Cache entries are keyed
+    /// by cell position, not by device, so call this after mutating cell
+    /// devices between cached warm solves: it keeps even
+    /// `lin_cache_epsilon_volts: Some(0.0)` bitwise-identical to the
+    /// uncached solve, and skips the (automatic, but slower)
+    /// stall-detect-and-retry recovery under looser epsilons.
     pub fn invalidate_cache(&mut self) {
         self.lin_v.fill(f64::NAN);
-        self.note_all_changed();
     }
 
     /// The solution produced by the most recent
@@ -231,51 +180,5 @@ impl SolverWorkspace {
     #[must_use]
     pub fn solution(&self) -> Option<&Solution> {
         self.sol.as_ref()
-    }
-
-    /// Declares that the devices at `cells` (`(row, col)` pairs) changed
-    /// since the previous solve through this workspace, so the lines that
-    /// cross them must re-relax in the next
-    /// [`Crosspoint::solve_incremental`](crate::Crosspoint::solve_incremental).
-    ///
-    /// This is the caller half of the incremental contract: boundary-source
-    /// and wire changes are detected automatically, but device swaps inside
-    /// the mesh are invisible to the solver until the affected lines
-    /// re-linearize — an undeclared change silently voids the
-    /// bitwise-identity guarantee. Indices beyond the tracked dimensions
-    /// are ignored (the next solve of new dimensions re-relaxes everything
-    /// anyway).
-    pub fn note_cells_changed(&mut self, cells: &[(usize, usize)]) {
-        if let Some((rows, cols)) = self.settle_dims {
-            for &(i, j) in cells {
-                if i < rows {
-                    self.settled_wl[i] = false;
-                }
-                if j < cols {
-                    self.settled_bl[j] = false;
-                }
-            }
-        }
-    }
-
-    /// Marks every line dirty: the next incremental solve re-relaxes the
-    /// whole mesh (the blunt, always-safe form of
-    /// [`SolverWorkspace::note_cells_changed`]).
-    pub fn note_all_changed(&mut self) {
-        self.settled_wl.fill(false);
-        self.settled_bl.fill(false);
-    }
-
-    /// Line relaxations the most recent solve skipped because the line was
-    /// provably settled (0 for non-incremental solves).
-    #[must_use]
-    pub fn lines_skipped(&self) -> u64 {
-        self.last_lines_skipped
-    }
-
-    /// Line relaxations the most recent solve actually performed.
-    #[must_use]
-    pub fn lines_relaxed(&self) -> u64 {
-        self.last_lines_relaxed
     }
 }

@@ -1,12 +1,13 @@
-//! Acceleration correctness suite: parallel line relaxation must be
-//! bitwise-identical to serial, warm starts must land on the cold-start
-//! answer within solver tolerance, and the linearization cache must never
-//! change a converged solution (exact-match epsilon: bitwise; loose
-//! epsilon: within the residual-checked tolerance).
+//! Acceleration correctness suite: banded line relaxation on any number of
+//! threads must be bitwise-identical to one thread, warm starts must land
+//! on the cold-start answer within solver tolerance, and the linearization
+//! cache must never change a converged solution (exact-match epsilon:
+//! bitwise; loose epsilon: within the residual-checked tolerance).
 
-use reram_circuit::{CellDevice, Crosspoint, LineEnd, PolySelector, SolveOptions, SolverWorkspace};
-use reram_exec::ThreadPool;
-use std::sync::Arc;
+use reram_circuit::{
+    CellDevice, Crosspoint, LineEnd, PolySelector, Solution, SolveError, SolveOptions,
+    SolverWorkspace,
+};
 
 /// Worst-case RESET bias: selected cell at the far corner, every other
 /// line half-selected (rectangular, to exercise strided BL write-back).
@@ -41,7 +42,7 @@ fn biased(rows: usize, cols: usize, kr: f64, r_wire: f64) -> Crosspoint {
 }
 
 /// Asserts two solutions are bitwise-identical in every observable field.
-fn assert_bitwise_eq(a: &reram_circuit::Solution, b: &reram_circuit::Solution, ctx: &str) {
+fn assert_bitwise_eq(a: &Solution, b: &Solution, ctx: &str) {
     assert_eq!(a.stats().sweeps, b.stats().sweeps, "sweeps differ: {ctx}");
     assert_eq!(
         a.stats().residual_amps.to_bits(),
@@ -51,39 +52,74 @@ fn assert_bitwise_eq(a: &reram_circuit::Solution, b: &reram_circuit::Solution, c
     assert_eq!(a, b, "solutions differ: {ctx}");
 }
 
+/// Solves `first` then `second` through one workspace on `threads`
+/// threads, returning the second solution: cold when `warm` is false (the
+/// seed is dropped in between), warm-started from `first` otherwise.
+fn solve_pair(
+    first: &Crosspoint,
+    second: &Crosspoint,
+    opts: &SolveOptions,
+    threads: usize,
+    warm: bool,
+) -> Solution {
+    let mut ws = SolverWorkspace::new().with_threads(threads);
+    first
+        .solve_warm(opts, &mut ws)
+        .expect("first solve converges");
+    if !warm {
+        ws.clear_seed();
+    }
+    let sol = second
+        .solve_warm(opts, &mut ws)
+        .expect("second solve converges");
+    assert_eq!(ws.last_used_warm_start(), warm);
+    sol
+}
+
 #[test]
 fn parallel_solve_is_bitwise_identical_to_serial() {
-    for &(rows, cols) in &[(16usize, 16usize), (33, 17)] {
-        for &kr in &[500.0, 2000.0] {
-            let cp = biased(rows, cols, kr, 2.82);
-            let opts = SolveOptions::default();
-            let serial = cp.solve(&opts).expect("serial solve converges");
-            for &workers in &[1usize, 2, 4] {
-                let pool = Arc::new(ThreadPool::new(workers));
-                let mut ws = SolverWorkspace::new().with_pool(pool).with_par_threshold(0);
-                let par = cp
-                    .solve_warm(&opts, &mut ws)
-                    .expect("parallel solve converges");
-                assert_bitwise_eq(
-                    &serial,
-                    &par,
-                    &format!("{rows}x{cols} kr={kr} workers={workers}"),
-                );
-                // Spot-check the planes cell by cell, not just via PartialEq.
-                for i in [0, rows / 2, rows - 1] {
-                    for j in [0, cols / 2, cols - 1] {
-                        assert_eq!(
-                            serial.wl_voltage(i, j).to_bits(),
-                            par.wl_voltage(i, j).to_bits()
-                        );
-                        assert_eq!(
-                            serial.bl_voltage(i, j).to_bits(),
-                            par.bl_voltage(i, j).to_bits()
-                        );
-                        assert_eq!(
-                            serial.cell_current(i, j).to_bits(),
-                            par.cell_current(i, j).to_bits()
-                        );
+    // Sizes chosen so neither the bands nor the 8-line batches divide the
+    // line counts evenly.
+    for &(rows, cols) in &[(64usize, 64usize), (72, 65), (65, 130)] {
+        let first = biased(rows, cols, 1000.0, 2.82);
+        // The second network moves the selected BL by a few millivolts and
+        // swaps one device, as a DRVR ramp over a row would.
+        let mut second = first.clone();
+        second.set_bl_near(cols - 1, LineEnd::driven(3.004));
+        second.set_cell(rows / 2, cols / 3, CellDevice::Linear(1e-4));
+        for eps in [None, Some(1e-5)] {
+            let opts = SolveOptions {
+                lin_cache_epsilon_volts: eps,
+                ..SolveOptions::default()
+            };
+            for warm in [false, true] {
+                let one = solve_pair(&first, &second, &opts, 1, warm);
+                for threads in [2usize, 3] {
+                    let banded = solve_pair(&first, &second, &opts, threads, warm);
+                    let ctx = format!("{rows}x{cols} eps={eps:?} warm={warm} threads={threads}");
+                    assert_bitwise_eq(&one, &banded, &ctx);
+                    assert_eq!(
+                        one.stats().max_delta_volts.to_bits(),
+                        banded.stats().max_delta_volts.to_bits(),
+                        "max_delta_volts differs: {ctx}"
+                    );
+                    // Spot-check the planes cell by cell, not just via
+                    // PartialEq.
+                    for i in [0, rows / 2, rows - 1] {
+                        for j in [0, cols / 2, cols - 1] {
+                            assert_eq!(
+                                one.wl_voltage(i, j).to_bits(),
+                                banded.wl_voltage(i, j).to_bits()
+                            );
+                            assert_eq!(
+                                one.bl_voltage(i, j).to_bits(),
+                                banded.bl_voltage(i, j).to_bits()
+                            );
+                            assert_eq!(
+                                one.cell_current(i, j).to_bits(),
+                                banded.cell_current(i, j).to_bits()
+                            );
+                        }
                     }
                 }
             }
@@ -151,6 +187,40 @@ fn exact_match_cache_is_bitwise_identical_to_disabled() {
 }
 
 #[test]
+fn exact_match_cache_after_device_swap_needs_invalidation() {
+    // Cache entries are keyed by cell position: once devices change under
+    // a warm workspace, `Some(0.0)` only matches `None` bitwise if the
+    // caller invalidates the cache first.
+    let n = 24;
+    let zero = SolveOptions {
+        lin_cache_epsilon_volts: Some(0.0),
+        ..SolveOptions::default()
+    };
+    let none = SolveOptions::default();
+    let mut cp = biased(n, n, 1000.0, 2.82);
+    let mut ws_zero = SolverWorkspace::new();
+    let mut ws_none = SolverWorkspace::new();
+    cp.solve_warm(&zero, &mut ws_zero)
+        .expect("cached solve converges");
+    cp.solve_warm(&none, &mut ws_none)
+        .expect("uncached solve converges");
+    for j in [0, n / 2, n - 1] {
+        cp.set_cell(n - 1, j, CellDevice::Linear(1e-4));
+    }
+    ws_zero.invalidate_cache();
+    let cached = cp.solve_warm(&zero, &mut ws_zero).expect("cached re-solve");
+    let plain = cp
+        .solve_warm(&none, &mut ws_none)
+        .expect("uncached re-solve");
+    assert!(ws_zero.last_used_warm_start() && ws_none.last_used_warm_start());
+    assert_bitwise_eq(
+        &cached,
+        &plain,
+        "eps=0.0 after swap + invalidate vs disabled",
+    );
+}
+
+#[test]
 fn loose_cache_epsilon_passes_the_exact_residual_check() {
     let n = 32;
     let cp = biased(n, n, 1000.0, 2.82);
@@ -210,20 +280,51 @@ fn stale_cache_after_cell_swap_recovers_via_residual_check() {
     assert!(warm.stats().residual_amps < opts.tol_amps);
 }
 
+/// A `rows × cols` array of 10 µS cells whose lines all float except one
+/// driven bit-line, with a negative-conductance cell at each of `bad`.
+/// When the array is one column (one row) wide, each such cell cancels the
+/// node leak of its one-node word-line (bit-line) exactly, so that line's
+/// pivot is zero. Physical device models cannot build this.
+fn singular(rows: usize, cols: usize, bad: &[(usize, usize)]) -> Crosspoint {
+    let mut cp = Crosspoint::uniform(rows, cols, 1.0, CellDevice::Linear(1e-5));
+    for &(i, j) in bad {
+        cp.set_cell(i, j, CellDevice::Linear(-1e-12));
+    }
+    if rows == 1 {
+        cp.set_wl_left(0, LineEnd::driven(1.0));
+    } else {
+        cp.set_bl_near(0, LineEnd::driven(1.0));
+    }
+    cp
+}
+
 #[test]
 fn singular_line_surfaces_through_the_parallel_path() {
-    // A negative-conductance cell cancels the node leak exactly; with all
-    // ends floating except one driven BL, the WL system's pivot is zero.
-    let mut cp = Crosspoint::uniform(1, 1, 1.0, CellDevice::Linear(-1e-12));
-    cp.set_bl_near(0, LineEnd::driven(1.0));
-    let pool = Arc::new(ThreadPool::new(2));
-    let mut ws = SolverWorkspace::new().with_pool(pool).with_par_threshold(0);
-    assert_eq!(
-        cp.solve_warm(&SolveOptions::default(), &mut ws),
-        Err(reram_circuit::SolveError::SingularLine { line: 0 })
-    );
+    // Two threads split the 64 word-lines 0..32 | 32..64, three threads
+    // 0..16 | 16..40 | 40..64. Word-line 40 is in the second band on two
+    // threads; 35 and 50 share a band on two threads and straddle two on
+    // three, where the lower band's error must win. Bit-line 40 of a
+    // one-row array is flattened line 1 + 40.
+    let cases = [
+        (singular(64, 1, &[(40, 0)]), 40),
+        (singular(64, 1, &[(50, 0), (35, 0)]), 35),
+        (singular(1, 64, &[(0, 40)]), 41),
+    ];
+    for (cp, line) in &cases {
+        for threads in [1usize, 2, 3] {
+            let mut ws = SolverWorkspace::new().with_threads(threads);
+            assert_eq!(
+                cp.solve_warm(&SolveOptions::default(), &mut ws),
+                Err(SolveError::SingularLine { line: *line }),
+                "threads={threads}"
+            );
+        }
+    }
     // A failed solve must not leave a warm seed behind.
-    cp.set_cell(0, 0, CellDevice::Linear(1e-5));
+    let mut cp = singular(64, 1, &[(40, 0)]);
+    let mut ws = SolverWorkspace::new().with_threads(2);
+    assert!(cp.solve_warm(&SolveOptions::default(), &mut ws).is_err());
+    cp.set_cell(40, 0, CellDevice::Linear(1e-5));
     cp.solve_warm(&SolveOptions::default(), &mut ws)
         .expect("repaired network converges");
     assert!(!ws.last_used_warm_start());

@@ -32,10 +32,11 @@
 //! outcomes, not configurations.
 //!
 //! `--solver-jobs N` and `--cold-solver` steer the `solver_grid`
-//! experiment's circuit-solver configuration (parallel line relaxation and
-//! warm starts). Its CSV is bitwise-identical for every `--solver-jobs`
-//! value, and `--cold-solver` changes only the sweep counts, never a
-//! voltage — that determinism is the point of the experiment.
+//! experiment's circuit-solver configuration (the number of threads each
+//! line-relaxation phase is banded over, and warm starts). Its CSV is
+//! bitwise-identical for every `--solver-jobs` value, and `--cold-solver`
+//! changes only the sweep counts, never a voltage — that determinism is
+//! the point of the experiment.
 //!
 //! `--telemetry DIR` attaches a JSONL event sink: every simulator run and
 //! the execution engine itself feed the shared [`reram_obs::Obs`] registry

@@ -1,7 +1,8 @@
 //! Solver-acceleration validation grid: KCL operating points across array
 //! sizes and a DRVR-style RESET voltage ramp, solved through a reusable
 //! [`SolverWorkspace`] so the run exercises warm starts, the linearization
-//! cache, and (with `--solver-jobs ≥ 2`) parallel line relaxation.
+//! cache, and (with `--solver-jobs ≥ 2`) banded line relaxation on that
+//! many threads.
 //!
 //! The table doubles as a determinism witness: every voltage it prints
 //! comes out of the bitwise-deterministic solver, so the CSV must be
@@ -14,7 +15,6 @@ use crate::table::{fnum, ExpTable};
 use crate::Budget;
 use reram_array::{ArrayGeometry, ArrayModel};
 use reram_circuit::{SolveOptions, SolverWorkspace};
-use reram_exec::ThreadPool;
 use reram_fault::FaultInjector;
 use reram_obs::Obs;
 use std::sync::Arc;
@@ -22,8 +22,9 @@ use std::sync::Arc;
 /// Solver-acceleration knobs threaded from the `experiments` CLI.
 #[derive(Debug, Clone, Copy)]
 pub struct SolverCfg {
-    /// Worker threads for parallel line relaxation (`--solver-jobs N`);
-    /// values below 2 keep every sweep serial.
+    /// Threads each relaxation phase is banded over (`--solver-jobs N`,
+    /// see [`SolverWorkspace::with_threads`]); 1 relaxes on the calling
+    /// thread.
     pub jobs: usize,
     /// Seed each solve from the previous operating point
     /// (`--cold-solver` clears this).
@@ -83,15 +84,11 @@ pub fn solver_grid(
         lin_cache_epsilon_volts: Some(1e-5),
         ..SolveOptions::default()
     };
-    let pool = (cfg.jobs >= 2).then(|| Arc::new(ThreadPool::new(cfg.jobs)));
     let mut warm_hits = 0u64;
     let mut recoveries = 0u64;
     for &n in sizes {
         let model = ArrayModel::paper_baseline().with_geometry(ArrayGeometry::new(n, 8));
-        let mut ws = SolverWorkspace::new();
-        if let Some(p) = &pool {
-            ws = ws.with_pool(Arc::clone(p));
-        }
+        let mut ws = SolverWorkspace::new().with_threads(cfg.jobs);
         if let Some(inj) = faults {
             ws = ws.with_faults(Arc::clone(inj), "solver_grid");
         }

@@ -148,17 +148,17 @@ impl Physics {
     }
 }
 
-/// Exact-solver timing source for [`Physics::Solver`]: a warm incremental
-/// solver sweep memoized per (representative row, count) — each section is
-/// represented by its midpoint row, the same granularity the surrogate LUT
-/// resolves, so a run pays for at most `sections × data_width` solves.
+/// Exact-solver timing source for [`Physics::Solver`]: warm-started solves,
+/// each relaxation phase banded over every available core, memoized per
+/// (representative row, count) — each section is represented by its
+/// midpoint row, the same granularity the surrogate LUT resolves, so a run
+/// pays for at most `sections × data_width` solves.
 struct ExactTimer {
     write: WriteModel,
     geom: ArrayGeometry,
     kin: ResetKinetics,
     ws: SolverWorkspace,
     opts: SolveOptions,
-    prev: Vec<(usize, usize)>,
     cache: HashMap<(usize, usize), Option<f64>>,
 }
 
@@ -168,9 +168,10 @@ impl ExactTimer {
             write: WriteModel::new(array, scheme),
             geom: array.geometry(),
             kin: array.kinetics(),
-            ws: SolverWorkspace::new(),
+            ws: SolverWorkspace::new().with_threads(
+                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+            ),
             opts: SolveOptions::default(),
-            prev: Vec::new(),
             cache: HashMap::new(),
         }
     }
@@ -187,19 +188,12 @@ impl ExactTimer {
             .map(|&j| self.write.applied_volts(row, self.geom.group_of_col(j)))
             .collect();
         let cp = self.write.model().to_crosspoint(row, &cols, &applied);
-        let mut changed = self.prev.clone();
-        changed.extend(cols.iter().map(|&j| (row, j)));
-        self.ws.note_cells_changed(&changed);
-        let veff = cp
-            .solve_incremental(&self.opts, &mut self.ws)
-            .ok()
-            .map(|sol| {
-                cols.iter()
-                    .map(|&j| sol.bl_voltage(row, j) - sol.wl_voltage(row, j))
-                    .fold(f64::INFINITY, f64::min)
-            });
+        let veff = cp.solve_into(&self.opts, &mut self.ws).ok().map(|sol| {
+            cols.iter()
+                .map(|&j| sol.bl_voltage(row, j) - sol.wl_voltage(row, j))
+                .fold(f64::INFINITY, f64::min)
+        });
         solves.inc();
-        self.prev = cols.iter().map(|&j| (row, j)).collect();
         self.cache.insert((row, count), veff);
         veff
     }

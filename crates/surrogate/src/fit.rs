@@ -7,8 +7,7 @@
 //! surrogate error. Consecutive networks differ only in the selected cells
 //! and line biases, so the sweep runs on one warm
 //! [`SolverWorkspace`] per scheme via
-//! [`Crosspoint::solve_incremental`](reram_circuit::Crosspoint::solve_incremental)
-//! — the calibrator is itself the incremental solver's biggest client.
+//! [`Crosspoint::solve_warm`](reram_circuit::Crosspoint::solve_warm).
 //!
 //! `fit` commits the **measured** held-out maxima into the artifact after
 //! rounding them up by a safety granule (so a rebuild on a different
@@ -266,7 +265,6 @@ struct Sweep {
     geom: ArrayGeometry,
     ws: SolverWorkspace,
     opts: SolveOptions,
-    prev_cells: Vec<(usize, usize)>,
     seed: u64,
     solves: usize,
 }
@@ -283,7 +281,6 @@ impl Sweep {
                 lin_cache_epsilon_volts: Some(CACHE_EPSILON_VOLTS),
                 ..SolveOptions::default()
             },
-            prev_cells: Vec::new(),
             seed,
             solves: 0,
         }
@@ -303,15 +300,8 @@ impl Sweep {
             .map(|&j| self.write.applied_volts(row, self.geom.group_of_col(j)))
             .collect();
         let cp = self.write.model().to_crosspoint(row, &cols, &applied);
-        // Only the selected cells' devices differ between consecutive
-        // networks (biases are auto-diffed); declare the previous and new
-        // selections so the incremental solve stays exact.
-        let mut changed = self.prev_cells.clone();
-        changed.extend(cols.iter().map(|&j| (row, j)));
-        self.ws.note_cells_changed(&changed);
-        let sol = cp.solve_incremental(&self.opts, &mut self.ws)?;
+        let sol = cp.solve_warm(&self.opts, &mut self.ws)?;
         self.solves += 1;
-        self.prev_cells = cols.iter().map(|&j| (row, j)).collect();
         Ok(cols
             .iter()
             .map(|&j| sol.bl_voltage(row, j) - sol.wl_voltage(row, j))

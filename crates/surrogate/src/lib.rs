@@ -8,8 +8,8 @@
 //!
 //! * [`fit`](mod@fit) sweeps the solver across the DRVR / DRVR+PR /
 //!   UDRVR+PR operating points (row section × concurrent-RESET count ×
-//!   partition pattern) — warm-started and incrementally, via
-//!   [`reram_circuit::Crosspoint::solve_incremental`] — and fits a small
+//!   partition pattern) — warm-started, via
+//!   [`reram_circuit::Crosspoint::solve_warm`] — and fits a small
 //!   LUT with a rank-1 within-section correction ([`model`]);
 //! * held-out rows quantify the surrogate error against the solver, and
 //!   the measured maxima (rounded up to a safety granule) are **committed
