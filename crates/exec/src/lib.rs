@@ -26,6 +26,10 @@
 //!   isolation, configurable retries, and wall-clock deadlines that cancel
 //!   stragglers into structured [`JobError`]s instead of hanging the
 //!   harness.
+//! * [`Memo`] — a pool-scoped memo of deterministic results: every
+//!   [`ThreadPool`] owns one ([`ThreadPool::memo`]), so a layer above can
+//!   run each distinct computation once per pool and serve its repeats
+//!   from the first result. Concurrent askers for one key run it once.
 //! * [`Journal`] — checkpoint/resume: completed-job payloads are appended
 //!   to a JSONL state file, so an interrupted `experiments all --full`
 //!   resumes without recomputing journaled jobs.
@@ -65,11 +69,13 @@
 
 pub mod dag;
 pub mod journal;
+pub mod memo;
 pub mod par;
 pub mod pool;
 
 pub use dag::{Dag, DagError, DagReport, JobCtx, JobSpec, RunReport};
 pub use journal::{Journal, JournalEntry, JournalError, Quarantined};
+pub use memo::Memo;
 pub use par::{par_map, try_par_map};
 pub use pool::ThreadPool;
 

@@ -22,6 +22,7 @@
 //! structured errors; the pool-level catch only sees panics from tasks
 //! submitted directly.)
 
+use crate::memo::Memo;
 use reram_obs::{Counter, Obs};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -202,10 +203,14 @@ fn worker_loop(shared: &Shared, me: usize) {
 /// [`crate::par_map`] and the DAG runner do), which makes the serial pool
 /// the exact single-threaded reference that parallel runs must match
 /// bitwise.
+///
+/// Each pool owns a [`Memo`] of deterministic results
+/// ([`ThreadPool::memo`]), dropped with the pool.
 pub struct ThreadPool {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
     workers: usize,
+    memo: Memo,
 }
 
 impl std::fmt::Debug for ThreadPool {
@@ -213,6 +218,7 @@ impl std::fmt::Debug for ThreadPool {
         f.debug_struct("ThreadPool")
             .field("workers", &self.workers)
             .field("pending", &self.shared.pending.load(Ordering::SeqCst))
+            .field("memo", &self.memo)
             .finish()
     }
 }
@@ -252,6 +258,7 @@ impl ThreadPool {
             shared,
             handles,
             workers,
+            memo: Memo::new(),
         }
     }
 
@@ -316,6 +323,15 @@ impl ThreadPool {
     #[must_use]
     pub fn obs(&self) -> &Obs {
         &self.shared.obs
+    }
+
+    /// The pool's memo of deterministic results: it starts empty and lives
+    /// exactly as long as the pool, so every run on one pool (every job of
+    /// one `experiments all`, one benchmark pass) shares it and nothing
+    /// else does.
+    #[must_use]
+    pub fn memo(&self) -> &Memo {
+        &self.memo
     }
 
     /// Runs one queued task inline on the calling thread, if any is

@@ -9,6 +9,13 @@
 //! reference — and the determinism contract (see `reram-exec`) guarantees
 //! any worker count reproduces it bitwise.
 //!
+//! The figures ask for the same simulation many times over: they share one
+//! seed, the Table IV benchmarks and the 512×512 design point. On one pool
+//! `run_batch` runs each distinct simulation once (the pool's memo, see
+//! `reram_sim::run_batch`), so the suite's 235 requested runs cost 147:
+//! Fig. 15's 88 runs cover all of Fig. 5c and Fig. 16, half of Fig. 17 and
+//! the sweeps' baseline points (512×512, 20 nm, Kr = 1000).
+//!
 //! The sweep figures additionally export their structure
 //! ([`sweep_spec`] / [`sweep_point_ratio`] / [`assemble_sweep`]) so the
 //! `experiments` binary can schedule each sweep point as its own job in the
@@ -66,7 +73,9 @@ pub fn fig5c_obs(budget: Budget, obs: &Obs) -> ExpTable {
     fig5c_par(budget, &ThreadPool::serial(), obs)
 }
 
-/// [`fig5c`] with its nine simulator runs fanned out over `pool`.
+/// [`fig5c`] with its nine simulator runs fanned out over `pool`. All nine
+/// (ora-64, Hard and Hard+Sys on three benchmarks) are [`fig15`] runs, so
+/// a pool that has run one serves the other's.
 #[must_use]
 pub fn fig5c_par(budget: Budget, pool: &ThreadPool, obs: &Obs) -> ExpTable {
     let benches = [
@@ -122,7 +131,10 @@ pub fn fig15_obs(budget: Budget, obs: &Obs) -> ExpTable {
     fig15_par(budget, &ThreadPool::serial(), obs)
 }
 
-/// [`fig15`] with its 96 simulator runs fanned out over `pool`.
+/// [`fig15`] with its 88 simulator runs (eight schemes × the 11 Table IV
+/// benchmarks) fanned out over `pool`. They are a superset of [`fig5c`]'s
+/// and [`fig16`]'s runs, of [`fig17`]'s UDRVR+PR runs and of the sweeps'
+/// baseline points; a pool runs the shared ones once.
 #[must_use]
 pub fn fig15_par(budget: Budget, pool: &ThreadPool, obs: &Obs) -> ExpTable {
     let schemes = [
@@ -193,7 +205,8 @@ pub fn fig16_obs(budget: Budget, obs: &Obs) -> ExpTable {
     fig16_par(budget, &ThreadPool::serial(), obs)
 }
 
-/// [`fig16`] with its 48 simulator runs fanned out over `pool`.
+/// [`fig16`] with its 44 simulator runs fanned out over `pool`: Hard+Sys,
+/// Hard, DRVR and UDRVR+PR per benchmark, every one a [`fig15`] run.
 #[must_use]
 pub fn fig16_par(budget: Budget, pool: &ThreadPool, obs: &Obs) -> ExpTable {
     let schemes = [Scheme::Hard, Scheme::Drvr, Scheme::UdrvrPr];
@@ -260,7 +273,8 @@ pub fn fig17_obs(budget: Budget, obs: &Obs) -> ExpTable {
     fig17_par(budget, &ThreadPool::serial(), obs)
 }
 
-/// [`fig17`] with its 24 simulator runs fanned out over `pool`.
+/// [`fig17`] with its 22 simulator runs fanned out over `pool`: the 11
+/// UDRVR-3.94 runs are its own, the 11 UDRVR+PR runs are [`fig15`]'s.
 #[must_use]
 pub fn fig17_par(budget: Budget, pool: &ThreadPool, obs: &Obs) -> ExpTable {
     let benches = BenchProfile::table_iv();
@@ -359,9 +373,11 @@ pub fn sweep_spec(id: &str) -> Option<SweepSpec> {
 }
 
 /// One sweep point's result: the geometric-mean UDRVR+PR / Hard+Sys speedup
-/// over the sweep benchmarks at the given array configuration. Runs fan out
-/// over `pool`; the reduction is index-ordered, so the value is
-/// bitwise-identical to a serial loop.
+/// over the sweep benchmarks at the given array configuration. Its eight
+/// runs fan out over `pool`; the reduction is index-ordered, so the value is
+/// bitwise-identical to a serial loop. At the paper's baseline array (the
+/// 512×512, 20 nm and Kr = 1000 points) the runs are [`fig15`]'s, and every
+/// sweep's baseline point is the same eight runs.
 #[must_use]
 pub fn sweep_point_ratio(budget: Budget, array: ArrayModel, pool: &ThreadPool, obs: &Obs) -> f64 {
     let benches = sweep_benchmarks();
@@ -502,6 +518,34 @@ mod tests {
         let par = fig17_par(Budget::Smoke, &ThreadPool::new(4), &Obs::off());
         assert_eq!(serial.rows, par.rows);
         assert_eq!(serial.notes, par.notes);
+    }
+
+    #[test]
+    fn concurrent_runs_probe_the_solver_once_per_registry() {
+        let obs = Obs::new();
+        let _ = fig15_par(Budget::Smoke, &ThreadPool::new(2), &obs);
+        assert_eq!(obs.counter("circuit.solve.solves").get(), 1);
+    }
+
+    #[test]
+    fn fig16_after_fig15_on_one_pool_matches_a_fresh_serial_fig16() {
+        let pool = ThreadPool::new(2);
+        let obs = Obs::new();
+        let _ = fig15_par(Budget::Smoke, &pool, &obs);
+        assert_eq!(
+            obs.counter("sim.memo.hits").get(),
+            0,
+            "fig15 has no repeats"
+        );
+        let shared = fig16_par(Budget::Smoke, &pool, &obs);
+        assert_eq!(
+            obs.counter("sim.memo.hits").get(),
+            4 * BenchProfile::table_iv().len() as u64,
+            "every fig16 run is a fig15 run"
+        );
+        let fresh = fig16(Budget::Smoke);
+        assert_eq!(shared.rows, fresh.rows);
+        assert_eq!(shared.notes, fresh.notes);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::hist::Histogram;
 use crate::sink::{EventSink, JsonlSink, NullSink, SinkError, Value};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -34,6 +34,7 @@ struct Registry {
     counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     gauges: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     hists: Mutex<BTreeMap<String, Arc<Mutex<Histogram>>>>,
+    claims: Mutex<BTreeSet<String>>,
     seq: AtomicU64,
     events: AtomicU64,
     sink: Mutex<Box<dyn EventSink>>,
@@ -45,6 +46,7 @@ impl Registry {
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
             hists: Mutex::new(BTreeMap::new()),
+            claims: Mutex::new(BTreeSet::new()),
             seq: AtomicU64::new(0),
             events: AtomicU64::new(0),
             sink: Mutex::new(sink),
@@ -161,6 +163,20 @@ impl Obs {
     #[must_use]
     pub fn span(&self, name: &str) -> Span {
         self.hist(name).start()
+    }
+
+    /// Claims the once-per-registry duty `name`: `true` for exactly one
+    /// caller per registry, however many race for it, and `false` on a
+    /// detached handle. Claims are not metrics and never appear in a
+    /// summary.
+    #[must_use]
+    pub fn claim_once(&self, name: &str) -> bool {
+        self.inner.as_ref().is_some_and(|r| {
+            r.claims
+                .lock()
+                .expect("claim set poisoned")
+                .insert(name.to_string())
+        })
     }
 
     /// Emits a structured event into the sink.
@@ -534,6 +550,22 @@ mod tests {
         a.inc();
         b.add(2);
         assert_eq!(obs.counter("hits").get(), 3);
+    }
+
+    #[test]
+    fn claims_go_to_one_caller_per_registry() {
+        assert!(!Obs::off().claim_once("probe"));
+        let obs = Obs::new();
+        let won: usize = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| usize::from(obs.clone().claim_once("probe"))))
+                .collect();
+            racers.into_iter().map(|r| r.join().expect("racer")).sum()
+        });
+        assert_eq!(won, 1);
+        assert!(obs.claim_once("other"));
+        assert!(Obs::new().claim_once("probe"), "a new registry claims anew");
+        assert!(obs.summary().is_empty(), "claims are not metrics");
     }
 
     #[test]

@@ -327,6 +327,43 @@ impl Simulator {
         self
     }
 
+    /// The memo key of this run: every input that determines its
+    /// [`SimResult`] (`cfg`, `scheme`, `profile`, `seed`, `knobs`, `array`,
+    /// `physics`), rendered with `Debug`, whose `f64`s round-trip bit for
+    /// bit. Two simulators with equal keys produce identical results, so
+    /// [`crate::run_batch`] runs each key once per pool.
+    ///
+    /// `None` when the run must always execute: a fault injector advances
+    /// its occurrence counters per run, and [`Physics::Surrogate`]'s model
+    /// is not part of the key. The telemetry registry is not an input.
+    #[must_use]
+    pub fn memo_key(&self) -> Option<String> {
+        // Destructured so a new field cannot silently escape the key.
+        let Simulator {
+            cfg,
+            scheme,
+            profile,
+            seed,
+            knobs,
+            array,
+            obs: _,
+            faults,
+            physics,
+            surrogate: _,
+        } = self;
+        if faults.is_some() || *physics == Physics::Surrogate {
+            return None;
+        }
+        Some(format!(
+            "{cfg:?}|{scheme:?}|{profile:?}|{seed}|{knobs:?}|{array:?}|{physics:?}"
+        ))
+    }
+
+    /// The telemetry registry this run records into.
+    pub(crate) fn obs(&self) -> &Obs {
+        &self.obs
+    }
+
     /// Executes the run to completion.
     ///
     /// # Panics
@@ -338,12 +375,16 @@ impl Simulator {
         let wm = WriteModel::new(self.array, self.scheme).with_obs(&self.obs);
         let geom = self.array.geometry();
         let obs_on = self.obs.enabled();
-        if obs_on && self.obs.counter("circuit.solve.solves").get() == 0 {
+        if obs_on
+            && self.obs.counter("circuit.solve.solves").get() == 0
+            && self.obs.claim_once("sim.probe")
+        {
             // The trace-driven loop never invokes the circuit solver (write
             // latency comes from the pre-characterized drop model), so probe
             // the worst-case cell once per attached registry to put the
             // solver's iteration and residual distributions into every
-            // telemetry capture.
+            // telemetry capture. The claim is atomic: simulations racing on
+            // one registry still probe it once.
             let n = geom.size();
             // Registered before the solve so the count shows up in every
             // telemetry summary, zero included.
