@@ -358,6 +358,20 @@ mod tests {
     }
 
     #[test]
+    fn reset_network_holds_two_devices() {
+        let m = ArrayModel::paper_baseline();
+        let n = m.geometry().size();
+        let cols = [0, n / 2, n - 1];
+        let cp = m.to_crosspoint(n - 1, &cols, &[3.0, 3.1, 3.2]);
+        assert_eq!(
+            cp.palette(),
+            &[m.cell().lrs_device(), m.cell().selected_device()]
+        );
+        assert_eq!(*cp.cell(n - 1, n / 2), m.cell().selected_device());
+        assert_eq!(*cp.cell(n - 2, n / 2), m.cell().lrs_device());
+    }
+
+    #[test]
     fn builder_round_trips() {
         let m = ArrayModel::paper_baseline()
             .with_tech(TechNode::N10)

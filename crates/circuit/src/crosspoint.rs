@@ -1,6 +1,7 @@
 //! Cross-point array topology: cells, wires, and line-end boundary conditions.
 
 use crate::{CellDevice, LineEnd};
+use std::collections::BTreeMap;
 
 /// A rectangular cross-point resistive network.
 ///
@@ -20,13 +21,29 @@ use crate::{CellDevice, LineEnd};
 ///
 /// Adjacent junctions on a line are separated by one wire segment of
 /// resistance [`r_wire_wl`](Self::r_wire_wl) / [`r_wire_bl`](Self::r_wire_bl).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Cells are stored as a device palette: each distinct device once in
+/// [`palette`](Self::palette), and one 4-byte palette index per cell. A
+/// RESET network holds two devices (the half-selected LRS cell and the
+/// selected cell), so a 512×512 array takes 1 MB of cell storage instead of
+/// one full device per cell. Devices are deduplicated by bit pattern, never
+/// by `==`: `Linear(0.0)` and `Linear(-0.0)` compute differently and stay
+/// two entries, and a NaN parameter still matches its own bits. Equality
+/// of two networks compares them cell by cell, so it does not depend on
+/// the order their palettes were built in.
+#[derive(Debug, Clone)]
 pub struct Crosspoint {
     rows: usize,
     cols: usize,
     r_wire_wl: f64,
     r_wire_bl: f64,
-    cells: Vec<CellDevice>,
+    /// Every device set on the network, once each (an overwritten device
+    /// stays in the palette).
+    devices: Vec<CellDevice>,
+    /// Palette position of each device's [bit pattern](CellDevice::bit_key).
+    lookup: BTreeMap<[u64; 6], u32>,
+    /// Palette index of each cell, row-major.
+    cells: Vec<u32>,
     wl_left: Vec<LineEnd>,
     wl_right: Vec<LineEnd>,
     bl_near: Vec<LineEnd>,
@@ -50,7 +67,9 @@ impl Crosspoint {
             cols,
             r_wire_wl: r_wire,
             r_wire_bl: r_wire,
-            cells: vec![cell; rows * cols],
+            devices: vec![cell],
+            lookup: BTreeMap::from([(cell.bit_key(), 0)]),
+            cells: vec![0; rows * cols],
             wl_left: vec![LineEnd::Floating; rows],
             wl_right: vec![LineEnd::Floating; rows],
             bl_near: vec![LineEnd::Floating; cols],
@@ -100,17 +119,31 @@ impl Crosspoint {
     /// Panics if the indices are out of bounds.
     #[must_use]
     pub fn cell(&self, i: usize, j: usize) -> &CellDevice {
-        &self.cells[self.idx(i, j)]
+        &self.devices[self.cells[self.idx(i, j)] as usize]
     }
 
     /// Replaces the device at row `i`, column `j`.
     ///
     /// # Panics
     ///
-    /// Panics if the indices are out of bounds.
+    /// Panics if the indices are out of bounds, or if the network would
+    /// hold more than `u32::MAX` distinct devices.
     pub fn set_cell(&mut self, i: usize, j: usize, cell: CellDevice) {
         let idx = self.idx(i, j);
-        self.cells[idx] = cell;
+        let devices = &mut self.devices;
+        let id = *self.lookup.entry(cell.bit_key()).or_insert_with(|| {
+            let id = u32::try_from(devices.len()).expect("at most u32::MAX distinct devices");
+            devices.push(cell);
+            id
+        });
+        self.cells[idx] = id;
+    }
+
+    /// The distinct devices of the network, each stored once, in the order
+    /// they were first set. A device that no cell uses any more stays.
+    #[must_use]
+    pub fn palette(&self) -> &[CellDevice] {
+        &self.devices
     }
 
     /// Boundary at the decoder-side end (`j = 0`) of word-line `i`.
@@ -175,9 +208,30 @@ impl Crosspoint {
         i * self.cols + j
     }
 
+    /// The palette and the row-major per-cell palette indices.
     #[inline]
-    pub(crate) fn cells(&self) -> &[CellDevice] {
-        &self.cells
+    pub(crate) fn cells(&self) -> (&[CellDevice], &[u32]) {
+        (&self.devices, &self.cells)
+    }
+
+    /// The device at row-major cell index `k`.
+    #[inline]
+    pub(crate) fn device(&self, k: usize) -> &CellDevice {
+        &self.devices[self.cells[k] as usize]
+    }
+}
+
+impl PartialEq for Crosspoint {
+    fn eq(&self, other: &Self) -> bool {
+        self.rows == other.rows
+            && self.cols == other.cols
+            && self.r_wire_wl == other.r_wire_wl
+            && self.r_wire_bl == other.r_wire_bl
+            && self.wl_left == other.wl_left
+            && self.wl_right == other.wl_right
+            && self.bl_near == other.bl_near
+            && self.bl_far == other.bl_far
+            && (0..self.cells.len()).all(|k| self.device(k) == other.device(k))
     }
 }
 
@@ -206,6 +260,58 @@ mod tests {
         cp.set_cell(1, 2, CellDevice::Open);
         assert_eq!(*cp.cell(1, 2), CellDevice::Open);
         assert_eq!(*cp.cell(1, 1), lrs());
+    }
+
+    #[test]
+    fn palette_stores_each_device_once() {
+        let mut cp = Crosspoint::uniform(4, 4, 11.5, lrs());
+        for j in 0..4 {
+            cp.set_cell(3, j, CellDevice::Open);
+        }
+        cp.set_cell(0, 0, lrs());
+        assert_eq!(cp.palette(), &[lrs(), CellDevice::Open]);
+        assert_eq!(*cp.cell(3, 2), CellDevice::Open);
+        assert_eq!(*cp.cell(0, 0), lrs());
+    }
+
+    #[test]
+    fn palette_dedupes_by_bits_not_eq() {
+        let mut cp = Crosspoint::uniform(2, 2, 1.0, CellDevice::Linear(0.0));
+        // `0.0 == -0.0`, but the two compute differently signed zeros.
+        cp.set_cell(0, 1, CellDevice::Linear(-0.0));
+        assert_eq!(cp.palette().len(), 2);
+        let g = |cp: &Crosspoint, i, j| match cp.cell(i, j) {
+            CellDevice::Linear(g) => g.to_bits(),
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(g(&cp, 0, 0), 0.0f64.to_bits());
+        assert_eq!(g(&cp, 0, 1), (-0.0f64).to_bits());
+        // NaN never equals itself, yet two NaN cells share one entry.
+        cp.set_cell(1, 0, CellDevice::Linear(f64::NAN));
+        cp.set_cell(1, 1, CellDevice::Linear(f64::NAN));
+        assert_eq!(cp.palette().len(), 3);
+    }
+
+    #[test]
+    fn equality_is_cell_by_cell_whatever_the_palette_order() {
+        let mut a = Crosspoint::uniform(3, 3, 11.5, lrs());
+        a.set_cell(1, 1, CellDevice::Open);
+        let mut b = Crosspoint::uniform(3, 3, 11.5, CellDevice::Open);
+        for i in 0..3 {
+            for j in 0..3 {
+                if (i, j) != (1, 1) {
+                    b.set_cell(i, j, lrs());
+                }
+            }
+        }
+        assert_ne!(a.palette(), b.palette());
+        assert_eq!(a, b);
+        b.set_cell(2, 2, CellDevice::Linear(1e-6));
+        assert_ne!(a, b);
+        // A device no cell uses any more does not count either.
+        b.set_cell(2, 2, lrs());
+        assert_eq!(b.palette().len(), 3);
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -48,12 +48,32 @@ impl CellState {
 /// This is the composite I-V of a fully formed LRS cell stacked on a MASiM
 /// selector — the dominant contributor to both RESET current and sneak
 /// current in the paper's arrays (Table I: `Ion = 90 µA`, `Kr = 1000`).
+///
+/// # Quiet cells
+///
+/// Under the half-bias scheme nearly every cell of an array sits within
+/// millivolts of 0 V, where the power-law term is far below the leakage
+/// term it is added to. Below a per-device bound `|v| ≤ x_q·Vfull`, chosen
+/// so the power-law term (and its derivative) is at most `2^-60` of the
+/// leakage term, [`current`](Self::current) and
+/// [`conductance`](Self::conductance) return the leakage term alone
+/// without evaluating the power law. Round-to-nearest would return exactly
+/// that value anyway: the skipped addend has the sign of the kept term, so
+/// it rounds away whenever it is below half an ulp (> `2^-54` relative) of
+/// that term, and `2^-60` leaves a `2^6` margin for the rounding of the
+/// power, the products and the bound itself. The shortcut therefore
+/// changes no bit of any result, for any input (signed zeros, subnormals
+/// and NaN included). For the paper's LRS selector the bound is ≈ 7 mV.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolySelector {
     i_on: f64,
     v_full: f64,
     gamma: f64,
     g_leak: f64,
+    /// `x_q`: normalised bias `|v| / v_full` at or below which the power
+    /// law rounds away (see the type docs); 0 leaves only `v = ±0` on the
+    /// shortcut, where the power law is 0 anyway.
+    x_quiet: f64,
 }
 
 impl PolySelector {
@@ -76,7 +96,9 @@ impl PolySelector {
             v_full,
             gamma: kr.log2(),
             g_leak: Self::DEFAULT_G_LEAK,
+            x_quiet: 0.0,
         }
+        .with_quiet_bound()
     }
 
     /// Replaces the parallel leakage conductance (siemens).
@@ -84,6 +106,31 @@ impl PolySelector {
     pub fn with_leakage(mut self, g_leak: f64) -> Self {
         assert!(g_leak >= 0.0, "leakage conductance must be non-negative");
         self.g_leak = g_leak;
+        self.with_quiet_bound()
+    }
+
+    /// Sets `x_quiet`, the largest `x = |v| / v_full` at which
+    /// `γ·Ion/Vfull · x^(γ-1) ≤ 2^-60 · g_leak`. That bounds both the
+    /// power-law current against the leakage current (the ratio is smaller
+    /// by the factor `γ > 1`) and its conductance against `g_leak`.
+    ///
+    /// The bound is 0 when the ratio does not shrink towards 0 V (`γ ≤ 1`)
+    /// or there is no leakage term to dominate. It is capped at
+    /// `x = 1` so `x^γ` can never overflow on the skipped path, and dropped
+    /// if the arithmetic overflowed.
+    fn with_quiet_bound(mut self) -> Self {
+        const MARGIN: f64 = 1.0 / (1u64 << 60) as f64;
+        self.x_quiet = if self.gamma > 1.0 && self.g_leak > 0.0 {
+            let r = self.g_leak * self.v_full / (self.gamma * self.i_on) * MARGIN;
+            let x = r.powf(1.0 / (self.gamma - 1.0));
+            if x.is_finite() {
+                x.min(1.0)
+            } else {
+                0.0
+            }
+        } else {
+            0.0
+        };
         self
     }
 
@@ -105,17 +152,26 @@ impl PolySelector {
         2f64.powf(self.gamma)
     }
 
-    /// Current through the device at voltage `v`, in amperes.
+    /// Current through the device at voltage `v`, in amperes. Quiet cells
+    /// skip the power law without changing the result (see the type docs).
     #[must_use]
     pub fn current(&self, v: f64) -> f64 {
         let x = v.abs() / self.v_full;
+        if x <= self.x_quiet {
+            return self.g_leak * v;
+        }
         v.signum() * self.i_on * x.powf(self.gamma) + self.g_leak * v
     }
 
-    /// Differential conductance `dI/dV` at voltage `v`, in siemens.
+    /// Differential conductance `dI/dV` at voltage `v`, in siemens. Quiet
+    /// cells skip the power law without changing the result (see the type
+    /// docs).
     #[must_use]
     pub fn conductance(&self, v: f64) -> f64 {
         let x = v.abs() / self.v_full;
+        if x <= self.x_quiet {
+            return self.g_leak;
+        }
         let g = if x > 0.0 {
             self.gamma * self.i_on / self.v_full * x.powf(self.gamma - 1.0)
         } else {
@@ -291,6 +347,28 @@ impl CellDevice {
         }
     }
 
+    /// The variant and the raw bits of every parameter: equal keys mean
+    /// devices that compute bit-identical currents, unlike `==`, which
+    /// merges `0.0` and `-0.0` and never matches NaN.
+    pub(crate) fn bit_key(&self) -> [u64; 6] {
+        let (tag, params): (u64, &[f64]) = match self {
+            CellDevice::Linear(g) => (0, &[*g]),
+            CellDevice::Selector(s) => (1, &[s.i_on, s.v_full, s.gamma, s.g_leak]),
+            CellDevice::Series(c) => {
+                let s = c.selector;
+                (2, &[s.i_on, s.v_full, s.gamma, s.g_leak, c.r_mem])
+            }
+            CellDevice::Compliant(c) => (3, &[c.i_sat, c.v_knee]),
+            CellDevice::Open => (4, &[]),
+        };
+        let mut key = [0; 6];
+        key[0] = tag;
+        for (k, p) in key[1..].iter_mut().zip(params) {
+            *k = p.to_bits();
+        }
+        key
+    }
+
     /// Norton linearization around operating voltage `v0`: returns `(g, i0)`
     /// such that `I(v) ≈ g·v + i0` near `v0`.
     #[must_use]
@@ -429,6 +507,160 @@ mod tests {
             let g = c.conductance(v);
             assert!((fd - g).abs() <= 1e-5 * scale, "v={v}: fd={fd}, g={g}");
         }
+    }
+
+    /// The power law evaluated on every input, as before the quiet-cell
+    /// shortcut: the reference the shortcut must match bit for bit.
+    fn full_current(s: &PolySelector, v: f64) -> f64 {
+        let x = v.abs() / s.v_full;
+        v.signum() * s.i_on * x.powf(s.gamma) + s.g_leak * v
+    }
+
+    fn full_conductance(s: &PolySelector, v: f64) -> f64 {
+        let x = v.abs() / s.v_full;
+        let g = if x > 0.0 {
+            s.gamma * s.i_on / s.v_full * x.powf(s.gamma - 1.0)
+        } else {
+            0.0
+        };
+        g + s.g_leak
+    }
+
+    /// [`SeriesCell::current`] over the reference selector.
+    fn full_series_current(c: &SeriesCell, v: f64) -> f64 {
+        let s = &c.selector;
+        if c.r_mem == 0.0 {
+            return full_current(s, v);
+        }
+        let mut i = full_current(s, v);
+        for _ in 0..32 {
+            let v_sel = v - i * c.r_mem;
+            let f = full_current(s, v_sel) - i;
+            let df = -full_conductance(s, v_sel) * c.r_mem - 1.0;
+            let step = f / df;
+            i -= step;
+            if step.abs() <= 1e-15 + 1e-9 * i.abs() {
+                break;
+            }
+        }
+        i
+    }
+
+    fn full_series_conductance(c: &SeriesCell, v: f64) -> f64 {
+        let i = full_series_current(c, v);
+        let g_sel = full_conductance(&c.selector, v - i * c.r_mem);
+        g_sel / (1.0 + g_sel * c.r_mem)
+    }
+
+    /// Probe voltages: seeded magnitudes over the whole exponent range,
+    /// the ulps around the quiet bound `x_quiet·v_full`, signed zeros,
+    /// subnormals, NaN and infinities, each with both signs.
+    fn probe_voltages(s: &PolySelector, rng: &mut reram_workloads::Rng64) -> Vec<f64> {
+        let mut vs = vec![
+            0.0,
+            f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MIN_POSITIVE,
+            f64::NAN,
+            f64::INFINITY,
+            s.v_full,
+            s.v_full / 2.0,
+        ];
+        let edge = s.x_quiet * s.v_full;
+        let (mut up, mut down) = (edge, edge);
+        for _ in 0..64 {
+            vs.extend([up, down]);
+            up = up.next_up();
+            down = down.next_down();
+        }
+        for k in 1..=64 {
+            vs.extend([
+                edge * (1.0 + f64::from(k) * 1e-3),
+                edge * (1.0 - f64::from(k) * 1e-3),
+            ]);
+        }
+        for _ in 0..2000 {
+            vs.push(10f64.powf(rng.gen_range_f64(-330.0, 1.0)));
+            vs.push(rng.gen_range_f64(0.0, 4.0 * edge.max(1e-3)));
+        }
+        vs.iter().flat_map(|&v| [v, -v]).collect()
+    }
+
+    fn assert_same_bits(got: f64, want: f64, ctx: &str) {
+        assert_eq!(got.to_bits(), want.to_bits(), "{ctx}: {got:e} vs {want:e}");
+    }
+
+    /// The quiet-cell shortcut returns exactly what the full power law
+    /// returns, on every probe voltage of every device.
+    fn check_quiet_exact(s: PolySelector, rng: &mut reram_workloads::Rng64) {
+        let series = SeriesCell::new(s, 100e3);
+        for v in probe_voltages(&s, rng) {
+            let ctx = format!("{s:?} at v = {v:e}");
+            assert_same_bits(s.current(v), full_current(&s, v), &ctx);
+            assert_same_bits(s.conductance(v), full_conductance(&s, v), &ctx);
+            assert_same_bits(series.current(v), full_series_current(&series, v), &ctx);
+            assert_same_bits(
+                series.conductance(v),
+                full_series_conductance(&series, v),
+                &ctx,
+            );
+        }
+    }
+
+    #[test]
+    fn quiet_shortcut_is_bit_exact_on_the_paper_devices() {
+        let mut rng = reram_workloads::Rng64::new(0x0b17_e8ac);
+        let lrs = PolySelector::new(90e-6, 3.0, 1000.0);
+        let hrs = PolySelector::new(9e-6, 3.0, 1000.0);
+        // The LRS bound is about 7 mV, so half-biased cells take it.
+        let edge = lrs.x_quiet * lrs.v_full;
+        assert!(edge > 5e-3 && edge < 9e-3, "LRS quiet bound {edge} V");
+        assert!(hrs.x_quiet > lrs.x_quiet);
+        for s in [lrs, hrs, lrs.with_leakage(0.0), lrs.with_leakage(1e-6)] {
+            check_quiet_exact(s, &mut rng);
+        }
+        // No leakage, or a power law no steeper than linear: no shortcut.
+        assert_eq!(lrs.with_leakage(0.0).x_quiet, 0.0);
+        for kr in [1.5, 2.0] {
+            let s = PolySelector::new(90e-6, 3.0, kr);
+            assert_eq!(s.x_quiet, 0.0);
+            check_quiet_exact(s, &mut rng);
+        }
+    }
+
+    #[test]
+    fn quiet_shortcut_is_bit_exact_on_random_devices() {
+        let mut rng = reram_workloads::Rng64::new(0x51ee_9001);
+        for _ in 0..24 {
+            let s = PolySelector::new(
+                10f64.powf(rng.gen_range_f64(-7.0, -3.0)),
+                rng.gen_range_f64(0.5, 5.0),
+                10f64.powf(rng.gen_range_f64(0.1, 4.0)),
+            );
+            let s = if rng.gen_bool(0.2) {
+                s.with_leakage(0.0)
+            } else {
+                s.with_leakage(10f64.powf(rng.gen_range_f64(-12.0, -6.0)))
+            };
+            check_quiet_exact(s, &mut rng);
+        }
+    }
+
+    #[test]
+    fn bit_keys_separate_what_eq_merges_and_match_nan() {
+        let pos = CellDevice::Linear(0.0);
+        let neg = CellDevice::Linear(-0.0);
+        assert_eq!(pos, neg);
+        assert_ne!(pos.bit_key(), neg.bit_key());
+        let nan = CellDevice::Linear(f64::NAN);
+        assert_ne!(nan, nan);
+        assert_eq!(nan.bit_key(), nan.bit_key());
+        // Same parameters in another variant are another device.
+        let sel = PolySelector::new(90e-6, 3.0, 1000.0);
+        assert_ne!(
+            CellDevice::Selector(sel).bit_key(),
+            CellDevice::Series(SeriesCell::new(sel, 0.0)).bit_key()
+        );
     }
 
     #[test]

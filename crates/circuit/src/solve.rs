@@ -434,7 +434,7 @@ impl Relax<'_> {
             eps,
             ..
         } = *self;
-        let cells = cp.cells();
+        let (devices, cells) = cp.cells();
         let CacheBand {
             v: lin_v,
             g: lin_g,
@@ -464,7 +464,7 @@ impl Relax<'_> {
                         if (v - lv[j]).abs() <= e {
                             st.hits += 1;
                         } else {
-                            let (g, i0) = cr[j].linearize(v);
+                            let (g, i0) = devices[cr[j] as usize].linearize(v);
                             lv[j] = v;
                             lg[j] = g;
                             li[j] = i0;
@@ -486,7 +486,7 @@ impl Relax<'_> {
                     }
                 } else {
                     for j in 0..cols {
-                        let (g, i0) = cr[j].linearize(vbr[j] - vwr[j]);
+                        let (g, i0) = devices[cr[j] as usize].linearize(vbr[j] - vwr[j]);
                         stamp_node(
                             j,
                             cols,
@@ -548,7 +548,7 @@ impl Relax<'_> {
             eps,
             ..
         } = *self;
-        let cells = cp.cells();
+        let (devices, cells) = cp.cells();
         let CacheBand {
             v: mut lin_v,
             g: mut lin_g,
@@ -582,7 +582,7 @@ impl Relax<'_> {
                         if (v - lv[t]).abs() <= e {
                             st.hits += 1;
                         } else {
-                            let (g, i0) = cr[t].linearize(v);
+                            let (g, i0) = devices[cr[t] as usize].linearize(v);
                             lv[t] = v;
                             lg[t] = g;
                             li[t] = i0;
@@ -604,7 +604,7 @@ impl Relax<'_> {
                     }
                 } else {
                     for t in 0..t_n {
-                        let (g, i0) = cr[t].linearize(vbr[t] - vwr[t]);
+                        let (g, i0) = devices[cr[t] as usize].linearize(vbr[t] - vwr[t]);
                         stamp_node(
                             i,
                             rows,
@@ -1057,7 +1057,7 @@ impl Crosspoint {
             out.cell_currents.extend_from_slice(cur);
         } else {
             out.cell_currents
-                .extend((0..n).map(|idx| self.cells()[idx].current(vb[idx] - vw[idx])));
+                .extend((0..n).map(|idx| self.device(idx).current(vb[idx] - vw[idx])));
         }
         let src = |end: LineEnd, v_node: f64| -> f64 {
             let (g, v) = end.stamp();
@@ -1141,11 +1141,12 @@ impl Crosspoint {
         let rows = self.rows();
         let cols = self.cols();
         cur.clear();
+        let (devices, cells) = self.cells();
         cur.extend(
             vb.iter()
                 .zip(vw)
-                .zip(self.cells())
-                .map(|((&b, &w), cell)| cell.current(b - w)),
+                .zip(cells)
+                .map(|((&b, &w), &c)| devices[c as usize].current(b - w)),
         );
         let mut worst = 0.0f64;
         for i in 0..rows {
@@ -1278,7 +1279,7 @@ mod tests {
         for i in 0..rows {
             for j in 0..cols {
                 let idx = i * cols + j;
-                let (g, _) = cp.cells()[idx].linearize(0.0);
+                let (g, _) = cp.device(idx).linearize(0.0);
                 let (w, bb) = (idx, n + idx);
                 // cell between w and b
                 a[w][w] += g + NODE_LEAK_S;

@@ -61,9 +61,6 @@ pub struct WritePlan {
     pub reset_energy_pj: f64,
     /// SET-phase array energy (before pump conversion loss), pJ.
     pub set_energy_pj: f64,
-    /// Endurance of the most-stressed (fastest-RESET) cell written, writes.
-    /// `f64::INFINITY` when nothing resets.
-    pub min_endurance_writes: f64,
     /// True if any RESET's effective voltage fell below the failure
     /// threshold.
     pub failed: bool,
@@ -269,12 +266,8 @@ impl WriteModel {
         );
         let data_width = geom.data_width();
         let kin = self.model.kinetics();
-        let end = self.model.endurance();
 
-        let mut plan = WritePlan {
-            min_endurance_writes: f64::INFINITY,
-            ..WritePlan::default()
-        };
+        let mut plan = WritePlan::default();
         // Resolved once per plan, only when telemetry is on, so the hot
         // per-slice loop stays lookup-free.
         let concurrent_hist = if self.obs.enabled() {
@@ -334,8 +327,6 @@ impl WriteModel {
                         round_ns = round_ns.max(latency_ns);
                         plan.reset_energy_pj +=
                             self.applied_volts(row, b) * self.model.cell().i_on * latency_ns * 1e3;
-                        plan.min_endurance_writes =
-                            plan.min_endurance_writes.min(end.writes(latency_ns));
                     }
                 }
                 if completed == 0 {
@@ -356,8 +347,6 @@ impl WriteModel {
                                 * self.model.cell().i_on
                                 * latency_ns
                                 * 1e3;
-                            plan.min_endurance_writes =
-                                plan.min_endurance_writes.min(end.writes(latency_ns));
                         }
                         WriteOutcome::Fails { .. } => {
                             plan.failed = true;
@@ -589,7 +578,6 @@ mod tests {
         let plan = m.plan_line_write(100, 10, &[0u8; 64], &[0u8; 64]);
         assert_eq!(plan.total_ns(), 0.0);
         assert_eq!(plan.cell_writes(), 0);
-        assert_eq!(plan.min_endurance_writes, f64::INFINITY);
     }
 
     #[test]
