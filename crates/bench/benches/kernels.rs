@@ -13,9 +13,7 @@ use reram_loadgen::{run_traced, LoadConfig};
 use reram_mem::{FnwCodec, MemoryConfig, MemoryController, Request, SecurityRefresh};
 use reram_obs::{Obs, TraceContext, Tracer};
 use reram_serve::{ServeConfig, Server};
-use reram_surrogate::{fit, FitConfig, Pattern, SurrogateEstimator, SurrogateModel};
 use reram_workloads::BenchProfile;
-use std::sync::Arc;
 
 fn bench_solver(h: &mut Harness) {
     let sizes: &[usize] = if h.is_full() {
@@ -282,14 +280,8 @@ fn bench_wal_append(h: &mut Harness) {
 }
 
 /// One self-hosted closed-loop serve run; returns measured req/s.
-/// `trace_sample` = 0 means tracing fully off (the v1 baseline path);
-/// `surrogate` switches the server to LUT-priced write timing.
-fn serve_run(
-    trace_sample: u64,
-    clients: usize,
-    requests: u64,
-    surrogate: Option<Arc<SurrogateModel>>,
-) -> f64 {
+/// `trace_sample` = 0 means tracing fully off (the v1 baseline path).
+fn serve_run(trace_sample: u64, clients: usize, requests: u64) -> f64 {
     let obs = Obs::off();
     let (server_tracer, client_tracer) = if trace_sample > 0 {
         (Tracer::new(trace_sample), Tracer::new(trace_sample))
@@ -302,7 +294,6 @@ fn serve_run(
         queue_cap: 64,
         batch_max: 8,
         workers: 2,
-        surrogate,
         ..ServeConfig::default()
     };
     let server = Server::start_traced(&cfg, &obs, server_tracer, None).unwrap();
@@ -350,10 +341,10 @@ fn bench_trace_overhead(h: &mut Harness) {
 
     let (clients, requests) = if h.is_smoke() { (2, 25) } else { (8, 1250) };
     h.bench("trace_serve_untraced", move || {
-        serve_run(0, clients, requests, None)
+        serve_run(0, clients, requests)
     });
     h.bench("trace_serve_traced_1in64", move || {
-        serve_run(64, clients, requests, None)
+        serve_run(64, clients, requests)
     });
 
     if let (Some(skip), Some(record), Some(base)) = (
@@ -385,92 +376,6 @@ fn bench_trace_overhead(h: &mut Harness) {
     }
 }
 
-/// Loads the committed surrogate artifact; falls back to a deterministic
-/// quick fit when the bench runs outside the repo tree.
-fn surrogate_model() -> Arc<SurrogateModel> {
-    let committed =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../ci/surrogate_model.json");
-    match reram_surrogate::load(&committed) {
-        Ok(m) => Arc::new(m),
-        Err(_) => {
-            let cfg = FitConfig {
-                size: 32,
-                counts: 2,
-                schemes: vec![Scheme::UdrvrPr],
-                ..FitConfig::default()
-            };
-            Arc::new(fit(&cfg).expect("quick surrogate fit").0)
-        }
-    }
-}
-
-/// PR-10 acceptance, part 1: one surrogate LUT lookup prices every served
-/// write inline, so it must stay sub-microsecond — hard-asserted here on
-/// both a row/count sweep (cache-honest) and the worst-case corner.
-fn bench_surrogate_lookup(h: &mut Harness) {
-    let model = surrogate_model();
-    let scheme = if model.tables.iter().any(|t| t.scheme == "udrvr_pr") {
-        Scheme::UdrvrPr
-    } else {
-        Scheme::Drvr
-    };
-    let est = Arc::new(SurrogateEstimator::new(Arc::clone(&model), scheme).expect("estimator"));
-    let (size, counts) = (model.size, model.counts.min(8));
-    {
-        let est = Arc::clone(&est);
-        let mut k = 0usize;
-        h.bench("surrogate_lookup_sweep", move || {
-            k += 1;
-            let row = (k * 97) % size;
-            let count = 1 + k % counts;
-            est.estimate_count(black_box(row), black_box(count), black_box(Pattern::Even))
-        });
-    }
-    {
-        let est = Arc::clone(&est);
-        h.bench("surrogate_lookup_worst_corner", move || {
-            est.estimate_count(
-                black_box(size - 1),
-                black_box(counts),
-                black_box(Pattern::Random),
-            )
-        });
-    }
-    for name in ["surrogate_lookup_sweep", "surrogate_lookup_worst_corner"] {
-        if let Some(s) = h.get(name) {
-            assert!(
-                s.min_ns < 1_000.0,
-                "{name} takes {:.1} ns per lookup (must be < 1 µs)",
-                s.min_ns
-            );
-        }
-    }
-}
-
-/// PR-10 acceptance, part 3: the serve layer under surrogate physics must
-/// sustain ≥ 95% of the analytic-mode closed-loop throughput — the same
-/// deterministic A/B shape as the tracing-overhead gate.
-fn bench_surrogate_serve(h: &mut Harness) {
-    let model = surrogate_model();
-    let (clients, requests) = if h.is_smoke() { (2, 25) } else { (8, 1250) };
-    h.bench("surrogate_serve_analytic", move || {
-        serve_run(0, clients, requests, None)
-    });
-    {
-        let model = Arc::clone(&model);
-        h.bench("surrogate_serve_lut", move || {
-            serve_run(0, clients, requests, Some(Arc::clone(&model)))
-        });
-    }
-    if let Some(ratio) = h.compare("surrogate_serve_lut", "surrogate_serve_analytic") {
-        assert!(
-            ratio < 1.0 / 0.95,
-            "surrogate-physics serve run is {ratio:.4}x the analytic run \
-             (must sustain >= 95% of analytic req/s)"
-        );
-    }
-}
-
 fn main() {
     let mut h = Harness::from_args();
     bench_solver(&mut h);
@@ -485,7 +390,5 @@ fn main() {
     bench_par_map_overhead(&mut h);
     bench_wal_append(&mut h);
     bench_trace_overhead(&mut h);
-    bench_surrogate_lookup(&mut h);
-    bench_surrogate_serve(&mut h);
     h.finish();
 }

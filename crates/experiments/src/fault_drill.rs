@@ -11,13 +11,12 @@
 //! against a committed golden copy, so every cell must be deterministic.
 
 use crate::table::{fnum, ExpTable};
-use reram_array::{ArrayGeometry, ArrayModel, Spread};
+use reram_array::{ArrayGeometry, ArrayModel};
 use reram_circuit::{SolveOptions, SolverWorkspace};
 use reram_core::{Drvr, Scheme, WriteModel};
 use reram_fault::FaultInjector;
 use reram_mem::{ChargePump, FunctionalStore, VerifiedStore};
 use reram_obs::Obs;
-use reram_surrogate::{fit, load_with_faults, to_json, FitConfig, Pattern, SurrogateEstimator};
 use std::sync::Arc;
 
 /// Lines the memory-controller drill writes.
@@ -112,99 +111,6 @@ pub fn fault_drill(faults: Option<&Arc<FaultInjector>>, obs: &Obs) -> ExpTable {
         }
     }
 
-    // Station 3: the surrogate artifact. Fit a small model from the
-    // solver, serialize it, and reload through the CRC guard — an injected
-    // `surrogate.load`/`surrogate_corrupt` must be rejected and recovered
-    // by re-fitting from the solver. Then three lookups through the
-    // estimator's `surrogate.miss` site — an injected miss must fall back
-    // to the analytic model, bitlessly.
-    let cfg = FitConfig {
-        size: 16,
-        counts: 2,
-        schemes: vec![Scheme::Drvr],
-        ..FitConfig::default()
-    };
-    match fit(&cfg) {
-        Ok((fitted, _)) => {
-            let path = std::env::temp_dir()
-                .join(format!("reram_surrogate_drill_{}.json", std::process::id()));
-            let write_ok = std::fs::write(&path, to_json(&fitted)).is_ok();
-            let fault_arg = faults.map(|inj| (inj.as_ref(), "fault_drill"));
-            let (model, outcome, detail) = match load_with_faults(&path, fault_arg) {
-                Ok(m) if write_ok => (m, "clean", "artifact loaded, crc ok".to_string()),
-                Ok(m) => (
-                    m,
-                    "clean",
-                    "artifact loaded (write reported failure)".to_string(),
-                ),
-                Err(e) => {
-                    // The recovery ladder: the artifact is untrusted, so
-                    // re-calibrate from the solver — the ground truth is
-                    // always available, just slower. The fit is
-                    // deterministic, so the recovered model is the one the
-                    // artifact should have held.
-                    if let Some(inj) = faults {
-                        inj.note_recovery(reram_fault::site::SURROGATE_LOAD, "refit_from_solver");
-                    }
-                    let (refit, _) = fit(&cfg).expect("refit from solver");
-                    (refit, "recovered", format!("refit after: {e}"))
-                }
-            };
-            std::fs::remove_file(&path).ok();
-            t.row(vec![
-                "surrogate.load".to_string(),
-                "drill artifact".to_string(),
-                "1".to_string(),
-                outcome.to_string(),
-                detail,
-            ]);
-
-            let mut est = SurrogateEstimator::new(Arc::new(model), Scheme::Drvr)
-                .expect("drill scheme is calibrated");
-            if let Some(inj) = faults {
-                est = est.with_faults(Arc::clone(inj), "fault_drill");
-            }
-            let wm = WriteModel::new(
-                ArrayModel::paper_baseline().with_geometry(ArrayGeometry::new(cfg.size, 8)),
-                Scheme::Drvr,
-            );
-            let kin = wm.model().kinetics();
-            for row in [0usize, cfg.size / 2, cfg.size - 1] {
-                let (outcome, latency_ns) = match est.estimate_count(row, 2, Pattern::Even) {
-                    Some(e) => ("clean", e.latency_ns),
-                    None => {
-                        // Analytic fallback: the paper's closed-form drop
-                        // model prices the write instead.
-                        if let Some(inj) = faults {
-                            inj.note_recovery(
-                                reram_fault::site::SURROGATE_MISS,
-                                "analytic_fallback",
-                            );
-                        }
-                        let veff = wm.effective_volts(row, 0, 0, 2, Spread::Even);
-                        ("recovered", kin.latency_ns(veff))
-                    }
-                };
-                t.row(vec![
-                    "surrogate.miss".to_string(),
-                    format!("lookup row{row}"),
-                    "1".to_string(),
-                    outcome.to_string(),
-                    format!("latency_ns={}", fnum(latency_ns)),
-                ]);
-            }
-        }
-        Err(e) => {
-            t.row(vec![
-                "surrogate.load".to_string(),
-                "drill artifact".to_string(),
-                "-".to_string(),
-                "failed".to_string(),
-                e.to_string(),
-            ]);
-        }
-    }
-
     t.note(format!(
         "degraded lines: [{}]; injected={} recovered={}",
         degraded.join(" "),
@@ -223,9 +129,8 @@ mod tests {
     use super::*;
     use reram_fault::{FaultKind, FaultPlan, FaultSpec};
 
-    /// Rows stations 2 and 3 contribute: the solver case, the artifact
-    /// load, and three surrogate lookups.
-    const EXTRA_ROWS: usize = 5;
+    /// Rows station 2 contributes: the solver case.
+    const EXTRA_ROWS: usize = 1;
 
     #[test]
     fn clean_drill_is_all_clean() {
@@ -247,17 +152,6 @@ mod tests {
                 reram_fault::site::SOLVER,
                 FaultKind::SolverNotConverged,
             ))
-            .with(
-                FaultSpec::new(
-                    reram_fault::site::SURROGATE_LOAD,
-                    FaultKind::SurrogateCorrupt,
-                )
-                .target("fault_drill"),
-            )
-            .with(
-                FaultSpec::new(reram_fault::site::SURROGATE_MISS, FaultKind::SurrogateMiss)
-                    .target("fault_drill"),
-            )
     }
 
     #[test]
@@ -277,14 +171,8 @@ mod tests {
         assert_eq!(outcome("line6 r0"), "degraded");
         assert_eq!(outcome("32x32 worst-case RESET"), "recovered");
         assert_eq!(outcome("line2 r1"), "clean", "occurrence 0 only fires once");
-        // The surrogate ladder: corrupted artifact re-fit from the solver,
-        // injected lookup miss absorbed by the analytic fallback.
-        assert_eq!(outcome("drill artifact"), "recovered");
-        assert_eq!(outcome("lookup row0"), "recovered");
-        assert_eq!(outcome("lookup row8"), "clean");
-        assert_eq!(outcome("lookup row15"), "clean");
-        assert!(inj.injected() >= 6);
-        assert!(inj.recovered() >= 5);
+        assert!(inj.injected() >= 4);
+        assert!(inj.recovered() >= 3);
         // Determinism: a second drill under the same plan matches row-for-row.
         let obs2 = Obs::off();
         let inj2 = Arc::new(FaultInjector::new(armed_plan(), &obs2));

@@ -11,8 +11,6 @@
 //! experiments recovery [--plan ci/crash_plan.json] [...]       # durable crashpoint sweep
 //! experiments trace-report SPANS.jsonl... [--check]            # span critical path
 //! experiments trajectory-check TRAJECTORY.jsonl                # bench growth gate
-//! experiments surrogate-fit   [--out ci/surrogate_model.json]  # calibrate IR-drop surrogate
-//! experiments surrogate-check [--model ci/surrogate_model.json]# surrogate drift gate
 //! ```
 //!
 //! `serve` and `loadgen` (see [`serve_cmd`]) expose the `reram-serve`
@@ -49,7 +47,6 @@ mod cluster_cmd;
 mod recovery_cmd;
 mod report_cmd;
 mod serve_cmd;
-mod surrogate_cmd;
 
 use reram_exec::{Dag, JobSpec, Journal, ThreadPool};
 use reram_experiments::{
@@ -164,8 +161,6 @@ fn main() -> ExitCode {
         Some("recovery") => return recovery_cmd::recovery_cmd(&args[1..]),
         Some("trace-report") => return report_cmd::trace_report_cmd(&args[1..]),
         Some("trajectory-check") => return report_cmd::trajectory_cmd(&args[1..]),
-        Some("surrogate-fit") => return surrogate_cmd::surrogate_fit_cmd(&args[1..]),
-        Some("surrogate-check") => return surrogate_cmd::surrogate_check_cmd(&args[1..]),
         _ => {}
     }
     let mut budget = Budget::Standard;

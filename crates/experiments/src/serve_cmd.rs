@@ -6,15 +6,13 @@
 //!                     [--queue-cap N] [--batch-max N] [--workers N]
 //!                     [--faults PLAN.json] [--telemetry DIR]
 //!                     [--trace DIR] [--trace-sample N]
-//!                     [--physics analytic|surrogate] [--model PATH]
 //! experiments loadgen [--addr HOST:PORT] [--clients N] [--requests N]
 //!                     [--seed S] [--profile NAME] [--closed-loop]
 //!                     [--open-loop GAP_US] [--no-audit] [--json PATH]
 //!                     [--shards N] [--lines-per-shard N] [--queue-cap N]
 //!                     [--batch-max N] [--faults PLAN.json] [--telemetry DIR]
 //!                     [--trace DIR] [--trace-sample N] [--poll-stats MS]
-//!                     [--slo-p99 US] [--physics analytic|surrogate]
-//!                     [--model PATH]
+//!                     [--slo-p99 US]
 //! ```
 //!
 //! `serve` binds, prints the resolved address, and runs until a client
@@ -32,21 +30,13 @@
 //! `--poll-stats MS` polls the server's `STATS_JSON` snapshot mid-run and
 //! `--slo-p99 US` scores the RTT distribution against a p99 budget
 //! (burn-rate gauges under `loadgen.slo.*`).
-//!
-//! `--physics surrogate` switches the (self-hosted) server's write timing
-//! to the calibrated voltage-drop surrogate loaded from `--model PATH`
-//! (default `ci/surrogate_model.json`): RESET phases are priced by the LUT
-//! and every verified write carries an inline latency/energy estimate
-//! (`STATS_JSON`'s `physics` + `hist.surrogate_*`). `--physics analytic`
-//! (the default) keeps the closed-form timing model.
 
 use reram_fault::{FaultInjector, FaultPlan};
 use reram_loadgen::{LoadConfig, Mode};
 use reram_obs::{Obs, Tracer};
 use reram_serve::{ServeConfig, Server};
-use reram_surrogate::{SurrogateEstimator, SurrogateModel};
 use reram_workloads::BenchProfile;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -105,36 +95,6 @@ pub(crate) fn finish_telemetry(obs: &Obs, telemetry: Option<&PathBuf>) {
     }
 }
 
-/// Resolves `--physics MODE [--model PATH]` into the server's surrogate
-/// model: loads and CRC-checks the artifact and proves it was calibrated
-/// for `scheme` (so a misconfigured server fails loudly at start instead
-/// of silently serving analytic timings).
-fn surrogate_for(
-    physics: &str,
-    model_path: &Path,
-    scheme: reram_core::Scheme,
-) -> Result<Option<Arc<SurrogateModel>>, String> {
-    match physics {
-        "analytic" => Ok(None),
-        "surrogate" => {
-            let model = reram_surrogate::load(model_path)
-                .map_err(|e| format!("cannot load surrogate {}: {e}", model_path.display()))?;
-            let model = Arc::new(model);
-            SurrogateEstimator::new(Arc::clone(&model), scheme)
-                .map_err(|e| format!("surrogate {}: {e}", model_path.display()))?;
-            eprintln!(
-                "[surrogate: {} ({} scheme table(s), {}x{} array)]",
-                model_path.display(),
-                model.tables.len(),
-                model.size,
-                model.size,
-            );
-            Ok(Some(model))
-        }
-        other => Err(format!("unknown --physics {other} (analytic|surrogate)")),
-    }
-}
-
 /// Builds the tracer for `--trace DIR` (ensuring the dir exists) or a
 /// disabled one.
 fn tracer_for(trace_dir: Option<&PathBuf>, sample: u64) -> Result<Tracer, String> {
@@ -165,15 +125,11 @@ pub fn serve_cmd(args: &[String]) -> ExitCode {
     let mut telemetry: Option<PathBuf> = None;
     let mut trace_dir: Option<PathBuf> = None;
     let mut trace_sample = 64u64;
-    let mut physics = "analytic".to_string();
-    let mut model_path = PathBuf::from("ci/surrogate_model.json");
     let mut it = args.iter().cloned();
     let parsed: Result<(), String> = (|| {
         while let Some(a) = it.next() {
             match a.as_str() {
                 "--addr" => cfg.addr = it.next().ok_or("--addr needs HOST:PORT")?,
-                "--physics" => physics = it.next().ok_or("--physics needs a mode")?,
-                "--model" => model_path = PathBuf::from(it.next().ok_or("--model needs a path")?),
                 "--shards" => cfg.shards = parse_num("--shards", it.next())?,
                 "--lines-per-shard" => {
                     cfg.lines_per_shard = parse_num("--lines-per-shard", it.next())?;
@@ -199,13 +155,6 @@ pub fn serve_cmd(args: &[String]) -> ExitCode {
     if let Err(e) = parsed {
         eprintln!("error: {e}");
         return ExitCode::FAILURE;
-    }
-    match surrogate_for(&physics, &model_path, cfg.scheme) {
-        Ok(m) => cfg.surrogate = m,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
     }
     let obs = match obs_for(telemetry.as_ref()) {
         Ok(o) => o,
@@ -237,7 +186,7 @@ pub fn serve_cmd(args: &[String]) -> ExitCode {
     };
     println!(
         "reram-serve listening on {} (shards={}, lines={}, queue_cap={}, batch_max={}, \
-         scheme={:?}, physics={physics})",
+         scheme={:?})",
         server.local_addr(),
         cfg.shards,
         cfg.shards as u64 * cfg.lines_per_shard,
@@ -271,8 +220,6 @@ pub fn loadgen_cmd(args: &[String]) -> ExitCode {
     let mut poll_stats_ms = 0u64;
     let mut slo_p99_us = 0.0f64;
     let mut durable_dir: Option<PathBuf> = None;
-    let mut physics = "analytic".to_string();
-    let mut model_path = PathBuf::from("ci/surrogate_model.json");
     let mut it = args.iter().cloned();
     let parsed: Result<(), String> = (|| {
         while let Some(a) = it.next() {
@@ -313,8 +260,6 @@ pub fn loadgen_cmd(args: &[String]) -> ExitCode {
                 "--durable" => {
                     durable_dir = Some(PathBuf::from(it.next().ok_or("--durable needs a dir")?));
                 }
-                "--physics" => physics = it.next().ok_or("--physics needs a mode")?,
-                "--model" => model_path = PathBuf::from(it.next().ok_or("--model needs a path")?),
                 other => return Err(format!("unknown loadgen flag {other}")),
             }
         }
@@ -331,17 +276,6 @@ pub fn loadgen_cmd(args: &[String]) -> ExitCode {
     if external_addr.is_some() && durable_dir.is_some() {
         eprintln!("error: --durable opens the *hosted* server's WAL; drop --addr to self-host");
         return ExitCode::FAILURE;
-    }
-    if external_addr.is_some() && physics != "analytic" {
-        eprintln!("error: --physics configures the *hosted* server; drop --addr to self-host");
-        return ExitCode::FAILURE;
-    }
-    match surrogate_for(&physics, &model_path, server_cfg.scheme) {
-        Ok(m) => server_cfg.surrogate = m,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
     }
     let Some(profile) = BenchProfile::by_name(&profile_name) else {
         let names: Vec<&str> = BenchProfile::table_iv().iter().map(|p| p.name).collect();

@@ -32,9 +32,9 @@ fn field_f64(line: &str, key: &str) -> Option<f64> {
 
 /// Parses every well-formed trajectory line; skips blanks, comments, and
 /// any mode-tagged datapoint (`"mode": "replicated"` documents the
-/// consensus tax, `"mode": "durable"` the WAL fsync tax, `"mode":
-/// "surrogate"` the LUT-physics run — only plain single-node analytic
-/// throughput is gated).
+/// consensus tax, `"mode": "durable"` the WAL fsync tax; lines of retired
+/// modes stay as history — only plain single-node analytic throughput is
+/// gated).
 #[must_use]
 pub fn parse_points(text: &str) -> Vec<TrajPoint> {
     text.lines()

@@ -340,12 +340,18 @@ mod tests {
 
     #[test]
     fn unknown_kind_is_an_error_not_a_skip() {
-        let err = parse_plan(r#"{"faults": [{"site": "s", "kind": "job_pnaic"}]}"#)
-            .expect_err("typo'd kind");
-        assert!(
-            matches!(err, PlanError::Semantic(ref m) if m.contains("job_pnaic")),
-            "{err}"
-        );
+        // A typo, and a kind a plan may still name after its site was
+        // retired.
+        for kind in ["job_pnaic", "surrogate_corrupt"] {
+            let err = parse_plan(&format!(
+                r#"{{"faults": [{{"site": "s", "kind": "{kind}"}}]}}"#
+            ))
+            .expect_err("unknown kind");
+            assert!(
+                matches!(err, PlanError::Semantic(ref m) if m.contains(kind)),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -103,16 +103,6 @@ pub mod site {
     /// [`FaultKind::ReplicaCrash`] kills the replica process-style right
     /// after that persistence point, keeping its on-disk state.
     pub const CRASH: &str = "durable.crash";
-    /// Surrogate model artifact load: consulted once per load attempt
-    /// (target = artifact path or label); a fired
-    /// [`FaultKind::SurrogateCorrupt`] corrupts the artifact bytes so the
-    /// CRC check must reject them and the caller falls back to the solver
-    /// path.
-    pub const SURROGATE_LOAD: &str = "surrogate.load";
-    /// Surrogate estimator lookup: consulted once per estimate (target =
-    /// scheme name); a fired [`FaultKind::SurrogateMiss`] forces the
-    /// out-of-domain path, exercising the analytic/solver fallback.
-    pub const SURROGATE_MISS: &str = "surrogate.miss";
 }
 
 /// What kind of failure to inject. The `param` on the [`FaultSpec`] scales
@@ -181,14 +171,6 @@ pub enum FaultKind {
     /// this fires, keeping its on-disk state; the crashpoint harness
     /// restarts it and asserts byte-identical recovery.
     ReplicaCrash,
-    /// The surrogate model artifact is corrupted before its CRC check
-    /// (`param` = byte offset to flip, default 1 byte into the payload);
-    /// the loader must reject it and fall back to the solver path.
-    SurrogateCorrupt,
-    /// A surrogate lookup is forced out of the calibrated domain; the
-    /// estimator must count the miss and fall back instead of
-    /// extrapolating.
-    SurrogateMiss,
 }
 
 impl FaultKind {
@@ -217,8 +199,6 @@ impl FaultKind {
             FaultKind::BitRot => "bit_rot",
             FaultKind::LostFsync => "lost_fsync",
             FaultKind::ReplicaCrash => "replica_crash",
-            FaultKind::SurrogateCorrupt => "surrogate_corrupt",
-            FaultKind::SurrogateMiss => "surrogate_miss",
         }
     }
 
@@ -247,8 +227,6 @@ impl FaultKind {
             "bit_rot" => FaultKind::BitRot,
             "lost_fsync" => FaultKind::LostFsync,
             "replica_crash" => FaultKind::ReplicaCrash,
-            "surrogate_corrupt" => FaultKind::SurrogateCorrupt,
-            "surrogate_miss" => FaultKind::SurrogateMiss,
             _ => return None,
         })
     }
@@ -581,8 +559,6 @@ mod tests {
             FaultKind::BitRot,
             FaultKind::LostFsync,
             FaultKind::ReplicaCrash,
-            FaultKind::SurrogateCorrupt,
-            FaultKind::SurrogateMiss,
         ] {
             assert_eq!(FaultKind::parse(kind.name()), Some(kind));
         }

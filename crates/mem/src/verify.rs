@@ -28,18 +28,11 @@ use crate::store::{FunctionalStore, WriteReceipt};
 use reram_core::Drvr;
 use reram_fault::{FaultInjector, FaultKind};
 use reram_obs::{Counter, Hist, Obs, Value};
-use reram_surrogate::{Pattern, SurrogateEstimator, WriteEstimate};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Number of 8-bit slices in a line (matches [`FunctionalStore`]).
 const SLICES: usize = 64;
-
-/// Surrogate-informed pre-compensation: when the fitted surrogate predicts
-/// the worst-case effective RESET voltage within this margin of the
-/// kinetics' failure threshold, the verify loop starts one DRVR rung up
-/// instead of discovering the miscompare the slow way (DESIGN.md §14).
-const PRE_ESCALATE_MARGIN_VOLTS: f64 = 0.05;
 
 /// Bounds for the write-verify loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,11 +62,6 @@ pub struct VerifiedWrite {
     /// True when verification never succeeded and the line entered
     /// degraded mode.
     pub degraded: bool,
-    /// The surrogate's inline price for this write (latency/energy of the
-    /// worst concurrent-RESET group), when an estimator is attached and
-    /// the lookup hit. `None` = no estimator, a zero-pulse write, or a
-    /// surrogate miss (out of domain / injected / would-fail voltage).
-    pub estimate: Option<WriteEstimate>,
 }
 
 /// A [`FunctionalStore`] behind a write-verify controller.
@@ -85,7 +73,6 @@ pub struct VerifiedStore {
     meter: PumpMeter,
     policy: VerifyPolicy,
     faults: Option<Arc<FaultInjector>>,
-    surrogate: Option<Arc<SurrogateEstimator>>,
     degraded: BTreeSet<usize>,
     obs: Obs,
     c_writes: Counter,
@@ -99,12 +86,6 @@ pub struct VerifiedStore {
     h_rung: Hist,
     /// Distribution of the final RESET level per write, volts.
     h_v_reset: Hist,
-    /// Distribution of the surrogate's per-write latency estimate, ns.
-    h_sur_latency: Hist,
-    /// Distribution of the surrogate's per-write energy estimate, pJ.
-    h_sur_energy: Hist,
-    /// Surrogate lookups that declined (caller fell back to no estimate).
-    c_sur_misses: Counter,
 }
 
 impl VerifiedStore {
@@ -120,7 +101,6 @@ impl VerifiedStore {
             meter: PumpMeter::resolve(obs),
             policy: VerifyPolicy::default(),
             faults: None,
-            surrogate: None,
             degraded: BTreeSet::new(),
             obs: obs.clone(),
             c_writes: obs.counter("mem.verify.writes"),
@@ -130,9 +110,6 @@ impl VerifiedStore {
             h_attempts: obs.hist("mem.verify.attempts_per_write"),
             h_rung: obs.hist("mem.verify.rung"),
             h_v_reset: obs.hist("mem.verify.v_reset"),
-            h_sur_latency: obs.hist("mem.verify.surrogate_latency_ns"),
-            h_sur_energy: obs.hist("mem.verify.surrogate_energy_pj"),
-            c_sur_misses: obs.counter("mem.verify.surrogate_misses"),
         }
     }
 
@@ -149,24 +126,6 @@ impl VerifiedStore {
     pub fn with_faults(mut self, injector: Arc<FaultInjector>) -> Self {
         self.faults = Some(injector);
         self
-    }
-
-    /// Attaches a fitted IR-drop surrogate. Every verified write is then
-    /// priced inline (latency/energy of its worst concurrent-RESET group,
-    /// recorded in the `mem.verify.surrogate_*` histograms and surfaced on
-    /// [`VerifiedWrite::estimate`]), and a predicted effective voltage
-    /// within [`PRE_ESCALATE_MARGIN_VOLTS`] of the RESET-failure threshold
-    /// pre-escalates the starting DRVR rung by one notch.
-    #[must_use]
-    pub fn with_surrogate(mut self, estimator: Arc<SurrogateEstimator>) -> Self {
-        self.surrogate = Some(estimator);
-        self
-    }
-
-    /// [`VerifiedStore::with_surrogate`] for an already-built store (the
-    /// shard backends attach their estimators this way).
-    pub fn set_surrogate(&mut self, estimator: Arc<SurrogateEstimator>) {
-        self.surrogate = Some(estimator);
     }
 
     /// The wrapped store (read-only).
@@ -232,32 +191,8 @@ impl VerifiedStore {
             }
         }
 
-        // Surrogate pricing: one LUT lookup for the line's worst
-        // concurrent-RESET group (mean pulsed cells per 8-bit word). A
-        // thin predicted margin pre-escalates the starting DRVR rung.
-        let mut estimate = None;
-        let mut start_rung = 0usize;
-        if let Some(est) = &self.surrogate {
-            let pulsed = receipt.cells_pulsed as usize;
-            if pulsed > 0 {
-                let row = idx % est.model().size;
-                let count = pulsed.div_ceil(SLICES).clamp(1, est.model().counts);
-                estimate = est.estimate_count(row, count, Pattern::Even);
-                match &estimate {
-                    Some(e) => {
-                        self.h_sur_latency.record(e.latency_ns);
-                        self.h_sur_energy.record(e.energy_pj);
-                        if e.veff_volts < est.v_fail() + PRE_ESCALATE_MARGIN_VOLTS {
-                            start_rung = 1;
-                        }
-                    }
-                    None => self.c_sur_misses.inc(),
-                }
-            }
-        }
-
         let levels = self.drvr.levels();
-        let mut level_idx = start_rung.min(levels.len() - 1);
+        let mut level_idx = 0;
         let mut v_reset = levels[level_idx].min(self.pump.v_out);
         let mut attempts = 1u32;
         let verify = |store: &FunctionalStore| store.read_line(idx) == *data;
@@ -320,7 +255,6 @@ impl VerifiedStore {
             v_reset,
             recovered,
             degraded,
-            estimate,
         }
     }
 }
@@ -446,80 +380,6 @@ mod tests {
         assert!(v.max() > 3.0, "escalated level recorded, got {}", v.max());
         // Pump recharges: 2 initial passes + 1 retry pulse.
         assert_eq!(obs.counter("mem.pump.recharges").get(), 3);
-    }
-
-    #[test]
-    fn surrogate_prices_each_verified_write_inline() {
-        use reram_surrogate::{fit, FitConfig, SurrogateEstimator};
-        let (model, _) = fit(&FitConfig::quick()).expect("quick fit");
-        let est = Arc::new(
-            SurrogateEstimator::new(Arc::new(model), Scheme::Drvr).expect("calibrated estimator"),
-        );
-        let store = FunctionalStore::new(8, WriteModel::paper(Scheme::Drvr));
-        let drvr = Drvr::design(&ArrayModel::paper_baseline(), 3.0);
-        let obs = Obs::new();
-        let mut vs = VerifiedStore::new(store, drvr, ChargePump::udrvr(), &obs)
-            .with_surrogate(Arc::clone(&est));
-        let w = vs.write_verified(1, &pattern(5));
-        let e = w.estimate.expect("in-domain lookup must hit");
-        assert!(e.veff_volts > 0.0 && e.latency_ns > 0.0 && e.energy_pj > 0.0);
-        assert_eq!(w.attempts, 1);
-        assert_eq!(w.v_reset, 3.0, "healthy margin: no pre-escalation");
-        // A zero-transition rewrite prices nothing (no pulse to estimate).
-        let again = vs.write_verified(1, &pattern(5));
-        assert!(again.estimate.is_none());
-        let lat = obs.hist("mem.verify.surrogate_latency_ns").snapshot();
-        assert_eq!(lat.count(), 1);
-        assert!(lat.max() > 0.0);
-        let en = obs.hist("mem.verify.surrogate_energy_pj").snapshot();
-        assert_eq!(en.count(), 1);
-        assert!(en.max() > 0.0);
-        assert_eq!(est.hits(), 1);
-        assert_eq!(obs.counter("mem.verify.surrogate_misses").get(), 0);
-    }
-
-    #[test]
-    fn thin_surrogate_margin_pre_escalates_the_first_pass() {
-        use reram_surrogate::{SchemeTable, SurrogateEstimator, SurrogateModel, PATTERNS};
-        // A hand-built table predicting veff barely above the failure
-        // threshold (1.65 V): the verify loop must start one rung up.
-        let sections = 8;
-        let counts = 2;
-        let model = SurrogateModel {
-            version: 1,
-            seed: 0,
-            size: 32,
-            data_width: 8,
-            sections,
-            counts,
-            tables: vec![SchemeTable {
-                scheme: "drvr".into(),
-                base: vec![1.66; sections * counts * PATTERNS],
-                slope_u: vec![0.0; sections],
-                slope_v: vec![0.0; counts * PATTERNS],
-                max_err_volts: 0.0,
-                mean_err_volts: 0.0,
-                max_latency_err_frac: 0.0,
-                max_energy_err_frac: 0.0,
-            }],
-        };
-        let est =
-            Arc::new(SurrogateEstimator::new(Arc::new(model), Scheme::Drvr).expect("estimator"));
-        let store = FunctionalStore::new(4, WriteModel::paper(Scheme::Drvr));
-        let drvr = Drvr::design(&ArrayModel::paper_baseline(), 3.0);
-        let obs = Obs::new();
-        let mut vs = VerifiedStore::new(store, drvr, ChargePump::udrvr(), &obs).with_surrogate(est);
-        let w = vs.write_verified(0, &pattern(2));
-        assert!(w.estimate.is_some());
-        assert!(
-            w.v_reset > 3.0,
-            "thin margin must pre-escalate the first pass, got {}",
-            w.v_reset
-        );
-        assert_eq!(w.attempts, 1, "pre-escalation is not a retry");
-        assert!(!w.recovered && !w.degraded);
-        let rung = obs.hist("mem.verify.rung").snapshot();
-        assert_eq!(rung.max(), 1.0, "started one DRVR notch up");
     }
 
     #[test]

@@ -63,7 +63,6 @@ use reram_durable::{DurableConfig, DurableLog, REC_ENTRY};
 use reram_exec::ThreadPool;
 use reram_fault::FaultInjector;
 use reram_obs::{Counter, Gauge, Hist, Obs, TraceContext, Tracer};
-use reram_surrogate::{SurrogateEstimator, SurrogateModel};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io::Write;
@@ -90,13 +89,6 @@ pub struct ServeConfig {
     pub scheme: Scheme,
     /// Exec-pool workers (0 = the pool's default sizing).
     pub workers: usize,
-    /// Calibrated voltage-drop surrogate. `Some` switches every shard to
-    /// surrogate physics: write service times come from the LUT
-    /// ([`crate::shard::ShardBackend::with_surrogate`]) and each verified
-    /// write carries an inline latency/energy estimate, surfaced in
-    /// `STATS_JSON` under `physics` and `hist.surrogate_*`. `None` (the
-    /// default) keeps the analytic timing model.
-    pub surrogate: Option<Arc<SurrogateModel>>,
 }
 
 impl Default for ServeConfig {
@@ -109,7 +101,6 @@ impl Default for ServeConfig {
             batch_max: 16,
             scheme: Scheme::UdrvrPr,
             workers: 0,
-            surrogate: None,
         }
     }
 }
@@ -272,14 +263,6 @@ struct Inner {
     /// Local-append → ack-condition wait of replicated writes
     /// (`serve.repl.wait_ns`; empty in single-node mode).
     h_repl_wait: Hist,
-    /// Timing-physics mode name (`analytic` / `surrogate`), echoed in
-    /// `STATS_JSON` under `physics.mode`.
-    physics: &'static str,
-    /// The verify loop's inline per-write estimates
-    /// (`mem.verify.surrogate_latency_ns`; empty in analytic mode).
-    h_sur_latency: Hist,
-    /// `mem.verify.surrogate_energy_pj` (empty in analytic mode).
-    h_sur_energy: Hist,
 }
 
 impl Inner {
@@ -649,12 +632,8 @@ impl Inner {
             "{{\"draining\":{},\"shards\":[",
             self.draining.load(Ordering::SeqCst)
         );
-        let mut sur_hits = 0u64;
-        let mut sur_misses = 0u64;
         for (i, be) in self.backends.iter().enumerate() {
             let s = be.lock().expect("backend poisoned").stats();
-            sur_hits += s.surrogate_hits;
-            sur_misses += s.surrogate_misses;
             let (queued, window, inflight, stalls) = {
                 let st = self.states[i].lock().expect("shard state poisoned");
                 (st.queue.len(), st.window, st.inflight, st.stalls)
@@ -700,35 +679,19 @@ impl Inner {
                 s.leader.replace('"', ""),
             );
         }
-        let _ = write!(
-            out,
-            ",\"physics\":{{\"mode\":\"{}\",\"surrogate_hits\":{sur_hits},\
-             \"surrogate_misses\":{sur_misses}}}",
-            self.physics,
-        );
         let fin = |x: f64| if x.is_finite() { x } else { 0.0 };
         let r = self.h_sim_read.snapshot();
         let w = self.h_sim_write.snapshot();
-        let sl = self.h_sur_latency.snapshot();
-        let se = self.h_sur_energy.snapshot();
         let _ = write!(
             out,
             ",\"hist\":{{\"sim_read_ns\":{{\"count\":{},\"p50\":{:.1},\"p99\":{:.1}}},\
-             \"sim_write_ns\":{{\"count\":{},\"p50\":{:.1},\"p99\":{:.1}}},\
-             \"surrogate_latency_ns\":{{\"count\":{},\"p50\":{:.1},\"p99\":{:.1}}},\
-             \"surrogate_energy_pj\":{{\"count\":{},\"p50\":{:.1},\"p99\":{:.1}}}}}}}",
+             \"sim_write_ns\":{{\"count\":{},\"p50\":{:.1},\"p99\":{:.1}}}}}}}",
             r.count(),
             fin(r.p50()),
             fin(r.p99()),
             w.count(),
             fin(w.p50()),
             fin(w.p99()),
-            sl.count(),
-            fin(sl.p50()),
-            fin(sl.p99()),
-            se.count(),
-            fin(se.p50()),
-            fin(se.p99()),
         );
         out
     }
@@ -1016,19 +979,7 @@ impl Server {
         let map = ShardMap::new(cfg.shards, cfg.lines_per_shard);
         Arc::new(
             (0..cfg.shards)
-                .map(|s| {
-                    let mut be = ShardBackend::new(map, s, cfg.scheme, obs);
-                    if let Some(model) = &cfg.surrogate {
-                        // One estimator per shard (each carries its own
-                        // hit/miss counters); an artifact that was never
-                        // calibrated for this scheme leaves the shard
-                        // analytic — the CLI validates before building.
-                        if let Ok(est) = SurrogateEstimator::new(Arc::clone(model), cfg.scheme) {
-                            be = be.with_surrogate(Arc::new(est));
-                        }
-                    }
-                    Mutex::new(be)
-                })
+                .map(|s| Mutex::new(ShardBackend::new(map, s, cfg.scheme, obs)))
                 .collect(),
         )
     }
@@ -1108,13 +1059,6 @@ impl Server {
             h_sim_read: obs.hist("serve.shard.sim_read_ns"),
             h_sim_write: obs.hist("serve.shard.sim_write_ns"),
             h_repl_wait: obs.hist("serve.repl.wait_ns"),
-            physics: if cfg.surrogate.is_some() {
-                "surrogate"
-            } else {
-                "analytic"
-            },
-            h_sur_latency: obs.hist("mem.verify.surrogate_latency_ns"),
-            h_sur_energy: obs.hist("mem.verify.surrogate_energy_pj"),
         });
         let accept_inner = Arc::clone(&inner);
         let accept = thread::Builder::new()
@@ -1308,52 +1252,6 @@ mod tests {
             Response::ReadOk { data: d } => assert_eq!(d, data),
             other => panic!("expected ReadOk, got {other:?}"),
         }
-        server.stop();
-        server.join();
-    }
-
-    #[test]
-    fn surrogate_server_reports_physics_in_stats_json() {
-        use reram_surrogate::{fit, FitConfig};
-        let (model, _) = fit(&FitConfig::quick()).expect("quick fit");
-        let cfg = ServeConfig {
-            scheme: Scheme::Drvr,
-            surrogate: Some(Arc::new(model)),
-            ..tiny_cfg()
-        };
-        let obs = Obs::new();
-        let server = Server::start(&cfg, &obs, None).unwrap();
-        let mut c = Client::connect(server.local_addr()).unwrap();
-        // A sparse pattern then zeroes: the second write is pure RESET
-        // (and sparse enough that Flip-N-Write doesn't invert it away), so
-        // both the service-time pricing and the verify loop consult the
-        // LUT.
-        for data in [[0x11u8; LINE_BYTES], [0x00u8; LINE_BYTES]] {
-            for line in 0..4u64 {
-                let r = c
-                    .call(&Request::WriteLine {
-                        line,
-                        data: Box::new(data),
-                    })
-                    .unwrap();
-                assert!(matches!(r, Response::WriteOk { .. }));
-            }
-        }
-        let json = match c.call(&Request::StatsJson).unwrap() {
-            Response::StatsJsonOk { json } => json,
-            other => panic!("expected StatsJsonOk, got {other:?}"),
-        };
-        assert!(
-            json.contains("\"physics\":{\"mode\":\"surrogate\""),
-            "{json}"
-        );
-        assert!(!json.contains("\"surrogate_hits\":0,"), "{json}");
-        assert!(
-            json.contains("\"surrogate_latency_ns\":{\"count\":"),
-            "{json}"
-        );
-        let lat = obs.hist("mem.verify.surrogate_latency_ns").snapshot();
-        assert!(lat.count() > 0, "verify loop must price writes inline");
         server.stop();
         server.join();
     }

@@ -25,8 +25,6 @@ use reram_mem::store::FunctionalStore;
 use reram_mem::verify::VerifiedStore;
 use reram_mem::{AddressMapper, MemoryController, Request as MemRequest};
 use reram_obs::{Hist, Obs};
-use reram_surrogate::{Pattern, SurrogateEstimator};
-use std::sync::Arc;
 
 /// Maps flat service-level line addresses onto shards.
 ///
@@ -142,12 +140,6 @@ pub struct ShardStats {
     pub degraded_lines: u64,
     /// The shard's simulated clock, ns.
     pub sim_now_ns: f64,
-    /// Surrogate LUT lookups that produced a timing estimate (zero when the
-    /// shard runs analytic physics).
-    pub surrogate_hits: u64,
-    /// Surrogate lookups that missed (out-of-domain or predicted-fail rows
-    /// fall back to the analytic service time).
-    pub surrogate_misses: u64,
 }
 
 /// A shard's vertical slice of the memory stack.
@@ -160,7 +152,6 @@ pub struct ShardBackend {
     map: ShardMap,
     shard: usize,
     pump_overhead_ns: f64,
-    estimator: Option<Arc<SurrogateEstimator>>,
     now_ns: f64,
     stats: ShardStats,
     h_sim_read_ns: Hist,
@@ -195,7 +186,6 @@ impl ShardBackend {
             map,
             shard,
             pump_overhead_ns,
-            estimator: None,
             now_ns: 0.0,
             stats: ShardStats::default(),
             h_sim_read_ns: obs.hist("serve.shard.sim_read_ns"),
@@ -203,32 +193,13 @@ impl ShardBackend {
         }
     }
 
-    /// Switches the shard's write timing to surrogate physics: the RESET
-    /// phase of every admitted write is priced by the LUT instead of the
-    /// analytic kinetics, and the estimator also rides along into the
-    /// [`VerifiedStore`] so each verified write carries an inline
-    /// latency/energy estimate. Lookups that miss (out-of-domain rows,
-    /// predicted RESET failure) fall back to the analytic phase time.
-    #[must_use]
-    pub fn with_surrogate(mut self, estimator: Arc<SurrogateEstimator>) -> Self {
-        self.store.set_surrogate(Arc::clone(&estimator));
-        self.estimator = Some(estimator);
-        self
-    }
-
     /// Statistics so far (including the controller's rejection counts via
     /// [`ShardStats::busy_rejections`]).
     #[must_use]
     pub fn stats(&self) -> ShardStats {
-        let (hits, misses) = self
-            .estimator
-            .as_ref()
-            .map_or((0, 0), |e| (e.hits(), e.misses()));
         ShardStats {
             degraded_lines: self.store.degraded_lines().len() as u64,
             sim_now_ns: self.now_ns,
-            surrogate_hits: hits,
-            surrogate_misses: misses,
             ..self.stats
         }
     }
@@ -267,11 +238,6 @@ impl ShardBackend {
     /// The scheme-dependent write service time for writing `data` over the
     /// line's current contents: pump charge-up plus the RESET and SET
     /// phases the transition masks require.
-    ///
-    /// Under surrogate physics ([`ShardBackend::with_surrogate`]) the
-    /// analytic RESET phase is replaced by the LUT's estimate for the
-    /// line's row at the plan's mean per-word RESET density; lookup misses
-    /// keep the analytic phase.
     fn write_service_ns(&self, local: usize, data: &[u8; LINE_BYTES]) -> f64 {
         let global = self.map.global(self.shard, local as u64);
         let a = self.mapper.decompose(global);
@@ -289,21 +255,7 @@ impl ShardBackend {
             &sets,
             Some(&data[..]),
         );
-        let analytic = self.pump_overhead_ns + plan.total_ns();
-        if plan.resets == 0 {
-            return analytic;
-        }
-        let Some(est) = &self.estimator else {
-            return analytic;
-        };
-        let row = a.mat_row % est.model().size;
-        let count = (plan.resets as usize)
-            .div_ceil(LINE_BYTES)
-            .clamp(1, est.model().counts);
-        match est.estimate_count(row, count, Pattern::Even) {
-            Some(e) => analytic - plan.reset_phase_ns + e.latency_ns,
-            None => analytic,
-        }
+        self.pump_overhead_ns + plan.total_ns()
     }
 
     /// Services a batch of ops: admits each into the controller (shedding
@@ -511,44 +463,6 @@ mod tests {
         {
             assert!(*retry_after_us >= 50, "hint floored at 50 µs");
         }
-    }
-
-    #[test]
-    fn surrogate_mode_prices_reset_phases_from_the_lut() {
-        use reram_surrogate::{fit, FitConfig, SurrogateEstimator};
-        let (model, _) = fit(&FitConfig::quick()).expect("quick fit");
-        let model = Arc::new(model);
-        let obs = Obs::off();
-        let map = ShardMap::new(1, 64);
-        let mut analytic = ShardBackend::new(map, 0, Scheme::Drvr, &obs);
-        let est = Arc::new(
-            SurrogateEstimator::new(Arc::clone(&model), Scheme::Drvr).expect("calibrated"),
-        );
-        let mut sur =
-            ShardBackend::new(map, 0, Scheme::Drvr, &obs).with_surrogate(Arc::clone(&est));
-        // A sparse pattern then zeroes: the second write is pure RESET
-        // (sparse enough that Flip-N-Write doesn't invert it away), so the
-        // surrogate shard must consult the LUT for its service time.
-        let ones = Box::new([0x11u8; LINE_BYTES]);
-        let zeros = Box::new([0x00u8; LINE_BYTES]);
-        for b in [&mut analytic, &mut sur] {
-            let _ = b.service_batch(&[ShardOp::Write {
-                local: 3,
-                data: ones.clone(),
-            }]);
-            let _ = b.service_batch(&[ShardOp::Write {
-                local: 3,
-                data: zeros.clone(),
-            }]);
-        }
-        assert!(est.hits() > 0, "RESET-heavy writes must hit the LUT");
-        let s = sur.stats();
-        assert_eq!(s.surrogate_hits, est.hits());
-        assert_eq!(analytic.stats().surrogate_hits, 0);
-        // Identical functional behaviour; only the timing source differs.
-        assert_eq!(sur.peek(3), analytic.peek(3));
-        assert!(s.sim_now_ns > 0.0);
-        assert!(analytic.stats().sim_now_ns > 0.0);
     }
 
     #[test]

@@ -26,8 +26,8 @@ use reram_exec::{par_map, ThreadPool};
 /// A simulator whose [`Simulator::memo_key`] the pool has seen before —
 /// earlier in this batch or in an earlier batch on the same pool — is
 /// served from the pool's memo instead of running again; concurrent
-/// requests for one key run it once. Runs without a key (fault injection,
-/// surrogate physics) always execute.
+/// requests for one key run it once. Runs without a key (fault injection)
+/// always execute.
 ///
 /// On a [`ThreadPool::serial`] pool this degrades to exact serial
 /// iteration on the calling thread.

@@ -10,8 +10,7 @@ use reram_mem::{
     AddressMapper, EnergyLedger, EnergyParams, FnwCodec, MemoryConfig, MemoryController, PumpMeter,
     Request, RowMapper, SecurityRefresh,
 };
-use reram_obs::{Obs, Value};
-use reram_surrogate::{pattern_cols, Pattern, SurrogateEstimator, SurrogateModel};
+use reram_obs::{Counter, Obs, Value};
 use reram_workloads::{AccessKind, BenchProfile, TraceGenerator};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
@@ -97,20 +96,18 @@ struct Core {
     finish_ns: f64,
 }
 
-/// Write-RESET timing source — the `--physics` knob.
+/// Write-RESET timing source, chosen with [`Simulator::with_physics`].
 ///
 /// The trace-driven loop never solves a circuit per write; this selects
 /// where the RESET-phase latency numbers come from instead:
 ///
 /// * [`Physics::Analytic`] (default) — the pre-characterized drop model
-///   ([`WriteModel`]'s plan latencies), exactly the pre-PR-10 behavior.
-/// * [`Physics::Surrogate`] — the fitted LUT + rank-1 model
-///   ([`reram_surrogate`]); a lookup outside the calibrated domain (or
-///   with no model attached) falls back per-write to the analytic value
-///   and counts `sim.physics.surrogate_misses`.
+///   ([`WriteModel`]'s plan latencies).
 /// * [`Physics::Solver`] — the exact KCL solver, memoized per
-///   (row-section, concurrent-RESET count) so a run costs at most
-///   `sections × data_width` solves plus one worst-case probe.
+///   (section midpoint row, concurrent-RESET count) so a run costs at most
+///   `sections × data_width` solves plus one worst-case probe. A solver
+///   failure or an effective voltage below `v_fail` falls back to the
+///   analytic value and counts `sim.physics.exact_fallbacks`.
 ///
 /// Only write *timing* switches sources; the energy ledger stays on the
 /// analytic plan in every mode so the modes remain energy-comparable.
@@ -119,40 +116,16 @@ pub enum Physics {
     /// Pre-characterized analytic drop model (the default).
     #[default]
     Analytic,
-    /// Fitted surrogate LUT with analytic fallback on miss.
-    Surrogate,
     /// Exact KCL solver, memoized per (section, count).
     Solver,
 }
 
-impl Physics {
-    /// Parses a `--physics` flag value.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "analytic" => Some(Physics::Analytic),
-            "surrogate" => Some(Physics::Surrogate),
-            "solver" => Some(Physics::Solver),
-            _ => None,
-        }
-    }
-
-    /// Stable flag/STATS name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Physics::Analytic => "analytic",
-            Physics::Surrogate => "surrogate",
-            Physics::Solver => "solver",
-        }
-    }
-}
-
 /// Exact-solver timing source for [`Physics::Solver`]: warm-started solves,
 /// each relaxation phase banded over every available core, memoized per
-/// (representative row, count) — each section is represented by its
-/// midpoint row, the same granularity the surrogate LUT resolves, so a run
-/// pays for at most `sections × data_width` solves.
+/// (row, count). Per-plan prices solve each DRVR section at its midpoint
+/// row, so a run pays for at most `sections × data_width` solves plus the
+/// worst-case budget probe. The solves run in the order the run first asks
+/// for each key, each warm-started from the one before.
 struct ExactTimer {
     write: WriteModel,
     geom: ArrayGeometry,
@@ -160,29 +133,47 @@ struct ExactTimer {
     ws: SolverWorkspace,
     opts: SolveOptions,
     cache: HashMap<(usize, usize), Option<f64>>,
+    solves: Counter,
+    fallbacks: Counter,
 }
 
 impl ExactTimer {
-    fn new(array: ArrayModel, scheme: Scheme) -> Self {
+    fn new(array: ArrayModel, scheme: Scheme, solves: Counter, fallbacks: Counter) -> Self {
+        let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        Self::with_threads(array, scheme, threads, solves, fallbacks)
+    }
+
+    fn with_threads(
+        array: ArrayModel,
+        scheme: Scheme,
+        threads: usize,
+        solves: Counter,
+        fallbacks: Counter,
+    ) -> Self {
         Self {
             write: WriteModel::new(array, scheme),
             geom: array.geometry(),
             kin: array.kinetics(),
-            ws: SolverWorkspace::new().with_threads(
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            ),
+            ws: SolverWorkspace::new().with_threads(threads),
             opts: SolveOptions::default(),
             cache: HashMap::new(),
+            solves,
+            fallbacks,
         }
     }
 
     /// Worst-case effective RESET voltage of an evenly spread `count`-cell
     /// group on `row`, from the exact solver. `None` = solver failure.
-    fn veff(&mut self, row: usize, count: usize, solves: &reram_obs::Counter) -> Option<f64> {
+    fn veff(&mut self, row: usize, count: usize) -> Option<f64> {
         if let Some(v) = self.cache.get(&(row, count)) {
             return *v;
         }
-        let cols = pattern_cols(self.geom.size(), count, Pattern::Even, 0, row);
+        // Even spread: one cell at the centre of each of `count` equal
+        // column spans.
+        let size = self.geom.size();
+        let cols: Vec<usize> = (0..count)
+            .map(|k| size / (2 * count) + k * size / count)
+            .collect();
         let applied: Vec<f64> = cols
             .iter()
             .map(|&j| self.write.applied_volts(row, self.geom.group_of_col(j)))
@@ -193,31 +184,30 @@ impl ExactTimer {
                 .map(|&j| sol.bl_voltage(row, j) - sol.wl_voltage(row, j))
                 .fold(f64::INFINITY, f64::min)
         });
-        solves.inc();
+        self.solves.inc();
         self.cache.insert((row, count), veff);
         veff
     }
 
-    /// Section-memoized RESET latency for a write on `row` with `count`
-    /// concurrent RESETs. `None` = solver failure or below-threshold veff
-    /// (caller falls back to the analytic value).
-    fn reset_latency_ns(
-        &mut self,
-        row: usize,
-        count: usize,
-        solves: &reram_obs::Counter,
-    ) -> Option<f64> {
+    /// The midpoint row of `row`'s DRVR section, which stands for every
+    /// row of the section in per-plan prices.
+    fn section_row(&self, row: usize) -> usize {
         let rps = self.geom.size() / self.geom.drvr_sections();
-        let rep = (row / rps) * rps + rps / 2;
-        let veff = self.veff(rep, count, solves)?;
-        (veff >= self.kin.v_fail()).then(|| self.kin.latency_ns(veff))
+        (row / rps) * rps + rps / 2
     }
 
-    /// Worst-case RESET latency: the farthest row driving a full
-    /// `data_width`-cell group.
-    fn worst_latency_ns(&mut self, solves: &reram_obs::Counter) -> Option<f64> {
-        let veff = self.veff(self.geom.size() - 1, self.geom.data_width(), solves)?;
-        (veff >= self.kin.v_fail()).then(|| self.kin.latency_ns(veff))
+    /// RESET latency of `count` concurrent RESETs on `row`, from the exact
+    /// solver. A solver failure or an effective voltage below `v_fail`
+    /// returns `analytic` instead and counts a fallback.
+    fn reset_ns(&mut self, row: usize, count: usize, analytic: f64) -> f64 {
+        let v_fail = self.kin.v_fail();
+        match self.veff(row, count).filter(|&v| v >= v_fail) {
+            Some(v) => self.kin.latency_ns(v),
+            None => {
+                self.fallbacks.inc();
+                analytic
+            }
+        }
     }
 }
 
@@ -248,7 +238,6 @@ pub struct Simulator {
     obs: Obs,
     faults: Option<Arc<FaultInjector>>,
     physics: Physics,
-    surrogate: Option<Arc<SurrogateModel>>,
 }
 
 impl Simulator {
@@ -265,25 +254,13 @@ impl Simulator {
             obs: Obs::off(),
             faults: None,
             physics: Physics::Analytic,
-            surrogate: None,
         }
     }
 
     /// Selects the write-RESET timing source (see [`Physics`]).
-    /// [`Physics::Surrogate`] additionally needs a model via
-    /// [`Simulator::with_surrogate`]; without one every lookup misses and
-    /// the run times analytically.
     #[must_use]
     pub fn with_physics(mut self, physics: Physics) -> Self {
         self.physics = physics;
-        self
-    }
-
-    /// Attaches the fitted surrogate model [`Physics::Surrogate`] answers
-    /// from.
-    #[must_use]
-    pub fn with_surrogate(mut self, model: Arc<SurrogateModel>) -> Self {
-        self.surrogate = Some(model);
         self
     }
 
@@ -334,8 +311,8 @@ impl Simulator {
     /// [`crate::run_batch`] runs each key once per pool.
     ///
     /// `None` when the run must always execute: a fault injector advances
-    /// its occurrence counters per run, and [`Physics::Surrogate`]'s model
-    /// is not part of the key. The telemetry registry is not an input.
+    /// its occurrence counters per run. The telemetry registry is not an
+    /// input.
     #[must_use]
     pub fn memo_key(&self) -> Option<String> {
         // Destructured so a new field cannot silently escape the key.
@@ -349,9 +326,8 @@ impl Simulator {
             obs: _,
             faults,
             physics,
-            surrogate: _,
         } = self;
-        if faults.is_some() || *physics == Physics::Surrogate {
+        if faults.is_some() {
             return None;
         }
         Some(format!(
@@ -457,43 +433,19 @@ impl Simulator {
         let worst_reset_ns = wm
             .array_reset_latency_ns()
             .expect("scheme must complete writes");
-        // Physics timing source (--physics): surrogate lookups and the
-        // memoized exact solver override the analytic RESET latencies;
-        // any miss/failure falls back to the analytic value per write.
-        let estimator = if self.physics == Physics::Surrogate {
-            self.surrogate
-                .as_ref()
-                .and_then(|m| SurrogateEstimator::new(Arc::clone(m), self.scheme).ok())
-        } else {
-            None
-        };
-        let mut exact =
-            (self.physics == Physics::Solver).then(|| ExactTimer::new(self.array, self.scheme));
-        let c_sur_hits = self.obs.counter("sim.physics.surrogate_hits");
-        let c_sur_misses = self.obs.counter("sim.physics.surrogate_misses");
+        // Physics timing source: the memoized exact solver overrides the
+        // analytic RESET latencies, falling back to them per price. Both
+        // counters register in every mode, so a summary always shows them.
         let c_exact_solves = self.obs.counter("sim.physics.exact_solves");
+        let c_exact_fallbacks = self.obs.counter("sim.physics.exact_fallbacks");
+        let mut exact = (self.physics == Physics::Solver)
+            .then(|| ExactTimer::new(self.array, self.scheme, c_exact_solves, c_exact_fallbacks));
         // The worst-case write budget (non-per-plan timing discipline)
         // derives from the same source: the farthest row driving a full
         // data-width group.
-        let budget_reset_ns = match self.physics {
-            Physics::Analytic => worst_reset_ns,
-            Physics::Surrogate => match estimator.as_ref().and_then(|e| {
-                let count = e.model().counts.min(geom.data_width());
-                e.estimate_count(geom.size() - 1, count, Pattern::Even)
-            }) {
-                Some(est) => {
-                    c_sur_hits.inc();
-                    est.latency_ns
-                }
-                None => {
-                    c_sur_misses.inc();
-                    worst_reset_ns
-                }
-            },
-            Physics::Solver => exact
-                .as_mut()
-                .and_then(|x| x.worst_latency_ns(&c_exact_solves))
-                .unwrap_or(worst_reset_ns),
+        let budget_reset_ns = match exact.as_mut() {
+            Some(x) => x.reset_ns(geom.size() - 1, geom.data_width(), worst_reset_ns),
+            None => worst_reset_ns,
         };
         const SCH_MIGRATION_OVERHEAD: f64 = 1.25;
         // SCH schedules at page granularity with reactive migration: its
@@ -599,28 +551,13 @@ impl Simulator {
                         // group through the selected physics source.
                         let analytic = plan.reset_phase_ns.max(floor);
                         let count = (plan.resets as usize).div_ceil(LINE_WORDS).max(1);
-                        match self.physics {
-                            Physics::Analytic => analytic,
-                            Physics::Surrogate => match estimator
-                                .as_ref()
-                                .and_then(|e| e.estimate_count(row, count, Pattern::Even))
-                            {
-                                Some(est) => {
-                                    c_sur_hits.inc();
-                                    est.latency_ns.max(floor)
-                                }
-                                None => {
-                                    c_sur_misses.inc();
-                                    analytic
-                                }
-                            },
-                            Physics::Solver => exact
-                                .as_mut()
-                                .and_then(|x| {
-                                    let count = count.min(geom.data_width());
-                                    x.reset_latency_ns(row, count, &c_exact_solves)
-                                })
-                                .map_or(analytic, |l| l.max(floor)),
+                        match exact.as_mut() {
+                            Some(x) => {
+                                let row = x.section_row(row);
+                                let count = count.min(geom.data_width());
+                                x.reset_ns(row, count, analytic).max(floor)
+                            }
+                            None => analytic,
                         }
                     } else {
                         budget_reset_ns
@@ -996,54 +933,6 @@ mod tests {
     }
 
     #[test]
-    fn surrogate_physics_times_writes_from_the_lut() {
-        use reram_surrogate::{fit, FitConfig};
-        let cfg = SimConfig::paper_baseline().with_instructions_per_core(40_000);
-        let p = BenchProfile::by_name("mcf_m").expect("benchmark");
-        let size = 64;
-        let array =
-            ArrayModel::paper_baseline().with_geometry(reram_array::ArrayGeometry::new(size, 8));
-        let (model, _) = fit(&FitConfig {
-            size,
-            counts: 2,
-            schemes: vec![Scheme::Drvr],
-            ..FitConfig::default()
-        })
-        .expect("fit at the sim's geometry");
-        let model = Arc::new(model);
-        let run = |physics: Physics| {
-            let obs = Obs::new();
-            let knobs = Knobs {
-                per_plan_timing: Some(true),
-                ..Knobs::default()
-            };
-            let r = Simulator::new(cfg, Scheme::Drvr, p, 11)
-                .with_array(array)
-                .with_knobs(knobs)
-                .with_physics(physics)
-                .with_surrogate(Arc::clone(&model))
-                .with_obs(&obs)
-                .run();
-            (
-                r,
-                obs.counter("sim.physics.surrogate_hits").get(),
-                obs.counter("sim.physics.surrogate_misses").get(),
-            )
-        };
-        let (analytic, a_hits, _) = run(Physics::Analytic);
-        assert_eq!(a_hits, 0, "analytic mode never consults the surrogate");
-        let (sur, hits, misses) = run(Physics::Surrogate);
-        assert!(hits > 0, "surrogate mode must answer lookups");
-        assert_eq!(misses, 0, "every (row, count) is in the calibrated domain");
-        assert!(sur.elapsed_ns > 0.0 && sur.ipc() > 0.0);
-        // Same work, different timing source: traffic identical.
-        assert_eq!(sur.cell_writes, analytic.cell_writes);
-        let (again, again_hits, _) = run(Physics::Surrogate);
-        assert_eq!(sur.elapsed_ns, again.elapsed_ns, "mode is deterministic");
-        assert_eq!(hits, again_hits);
-    }
-
-    #[test]
     fn solver_physics_memoizes_per_section_and_count() {
         let cfg = SimConfig::paper_baseline().with_instructions_per_core(30_000);
         let p = BenchProfile::by_name("mcf_m").expect("benchmark");
@@ -1076,6 +965,103 @@ mod tests {
         let (r2, solves2) = run();
         assert_eq!(r.elapsed_ns, r2.elapsed_ns, "solver mode is deterministic");
         assert_eq!(solves, solves2);
+    }
+
+    /// Every effective voltage [`ExactTimer`] solves at the paper's 512²
+    /// array, in the order a run asks for them (the budget probe, then
+    /// one mid-section row with 1 and 4 concurrent RESETs), as `to_bits`.
+    /// Each solve warm-starts from the one before, so the pin covers the
+    /// whole warm-started solver, on one band and on two.
+    #[test]
+    fn exact_timer_veffs_are_bit_identical_at_the_paper_baseline() {
+        let pins: [(Scheme, [u64; 3]); 3] = [
+            (
+                Scheme::HardSys,
+                [
+                    0x4003_c218_6b91_0f12,
+                    0x4005_9efd_b2d7_ef4b,
+                    0x4004_a645_fa76_b55f,
+                ],
+            ),
+            (
+                Scheme::Drvr,
+                [
+                    0x3fe6_d7b4_fd16_7224,
+                    0x4005_69f7_2be4_36dd,
+                    0x3ffe_6418_dd72_0b37,
+                ],
+            ),
+            (
+                Scheme::UdrvrPr,
+                [
+                    0x3fe6_cc16_9d9c_d74c,
+                    0x4005_44d0_3013_bb8d,
+                    0x3ffe_5bcc_3d6d_8f46,
+                ],
+            ),
+        ];
+        let array = ArrayModel::paper_baseline();
+        let geom = array.geometry();
+        let probes = [(geom.size() - 1, geom.data_width()), (224, 1), (224, 4)];
+        for threads in [1, 2] {
+            for (scheme, bits) in pins {
+                let obs = Obs::off();
+                let mut x = ExactTimer::with_threads(
+                    array,
+                    scheme,
+                    threads,
+                    obs.counter("solves"),
+                    obs.counter("fallbacks"),
+                );
+                assert_eq!(x.section_row(200), 224);
+                for ((row, count), want) in probes.into_iter().zip(bits) {
+                    let got = x.veff(row, count).map(f64::to_bits);
+                    assert_eq!(
+                        got,
+                        Some(want),
+                        "{scheme:?} row {row} count {count} on {threads} thread(s)"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn exact_fallbacks_count_the_budget_probes_the_solver_cannot_price() {
+        let array = ArrayModel::paper_baseline();
+        let geom = array.geometry();
+        let budget = |scheme: Scheme| {
+            let obs = Obs::new();
+            let fallbacks = obs.counter("sim.physics.exact_fallbacks");
+            let mut x = ExactTimer::new(
+                array,
+                scheme,
+                obs.counter("sim.physics.exact_solves"),
+                fallbacks.clone(),
+            );
+            let analytic = WriteModel::new(array, scheme)
+                .array_reset_latency_ns()
+                .expect("scheme completes writes");
+            let ns = x.reset_ns(geom.size() - 1, geom.data_width(), analytic);
+            (ns, analytic, fallbacks.get())
+        };
+        // Hard+Sys keeps ~2.47 V at the far row: the solver prices it.
+        let (ns, analytic, fallbacks) = budget(Scheme::HardSys);
+        assert_eq!(fallbacks, 0);
+        assert_ne!(ns, analytic);
+        // DRVR's 8-cell probe leaves ~0.71 V, below v_fail: analytic.
+        let (ns, analytic, fallbacks) = budget(Scheme::Drvr);
+        assert_eq!(fallbacks, 1);
+        assert_eq!(ns.to_bits(), analytic.to_bits());
+        // A run registers the counter before any price, in every mode.
+        let obs = Obs::new();
+        let cfg = SimConfig::paper_baseline().with_instructions_per_core(2_000);
+        let p = BenchProfile::by_name("mcf_m").expect("benchmark");
+        let _ = Simulator::new(cfg, Scheme::Drvr, p, 1).with_obs(&obs).run();
+        assert!(obs
+            .summary()
+            .iter()
+            .any(|m| m.name == "sim.physics.exact_fallbacks" && m.count == 0));
     }
 
     #[test]
