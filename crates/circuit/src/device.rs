@@ -53,27 +53,25 @@ impl CellState {
 ///
 /// Under the half-bias scheme nearly every cell of an array sits within
 /// millivolts of 0 V, where the power-law term is far below the leakage
-/// term it is added to. Below a per-device bound `|v| ≤ x_q·Vfull`, chosen
-/// so the power-law term (and its derivative) is at most `2^-60` of the
-/// leakage term, [`current`](Self::current) and
-/// [`conductance`](Self::conductance) return the leakage term alone
-/// without evaluating the power law. Round-to-nearest would return exactly
-/// that value anyway: the skipped addend has the sign of the kept term, so
-/// it rounds away whenever it is below half an ulp (> `2^-54` relative) of
-/// that term, and `2^-60` leaves a `2^6` margin for the rounding of the
-/// power, the products and the bound itself. The shortcut therefore
-/// changes no bit of any result, for any input (signed zeros, subnormals
-/// and NaN included). For the paper's LRS selector the bound is ≈ 7 mV.
+/// term it is added to. Below a per-device bound `|v| ≤ v_q`, chosen so the
+/// power-law term (and its derivative) is at most `2^-60` of the leakage
+/// term, [`current`](Self::current), [`conductance`](Self::conductance) and
+/// [`linearize`](Self::linearize) return the leakage terms alone. Round-to-
+/// nearest would return exactly those values anyway: the skipped addend has
+/// the sign of the kept term, so it rounds away whenever it is below half an
+/// ulp (> `2^-54` relative) of that term, and `2^-60` leaves a `2^6` margin
+/// for the rounding of the power, the products and the bound itself. The
+/// bound is set on `|v|/Vfull` but tested in volts, selecting exactly the
+/// same `f64`s (NaN and ±∞ included), so no result changes by a bit. For
+/// the paper's LRS selector `v_q ≈ 7 mV`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolySelector {
     i_on: f64,
     v_full: f64,
     gamma: f64,
     g_leak: f64,
-    /// `x_q`: normalised bias `|v| / v_full` at or below which the power
-    /// law rounds away (see the type docs); 0 leaves only `v = ±0` on the
-    /// shortcut, where the power law is 0 anyway.
-    x_quiet: f64,
+    /// `v_q`, at or below which the power law rounds away (see the type docs).
+    v_quiet: f64,
 }
 
 impl PolySelector {
@@ -96,7 +94,7 @@ impl PolySelector {
             v_full,
             gamma: kr.log2(),
             g_leak: Self::DEFAULT_G_LEAK,
-            x_quiet: 0.0,
+            v_quiet: 0.0,
         }
         .with_quiet_bound()
     }
@@ -109,28 +107,34 @@ impl PolySelector {
         self.with_quiet_bound()
     }
 
-    /// Sets `x_quiet`, the largest `x = |v| / v_full` at which
-    /// `γ·Ion/Vfull · x^(γ-1) ≤ 2^-60 · g_leak`. That bounds both the
-    /// power-law current against the leakage current (the ratio is smaller
-    /// by the factor `γ > 1`) and its conductance against `g_leak`.
-    ///
-    /// The bound is 0 when the ratio does not shrink towards 0 V (`γ ≤ 1`)
-    /// or there is no leakage term to dominate. It is capped at
-    /// `x = 1` so `x^γ` can never overflow on the skipped path, and dropped
-    /// if the arithmetic overflowed.
+    /// Sets `v_quiet`. First `x_q`, the largest `x = |v| / v_full` at which
+    /// `γ·Ion/Vfull · x^(γ-1) ≤ 2^-60 · g_leak`, which bounds both the power-law
+    /// current against the leakage current (smaller by the factor `γ > 1`) and
+    /// its conductance against `g_leak`: 0 if the ratio does not shrink towards
+    /// 0 V (`γ ≤ 1`), without leakage or on overflow, and capped at `x = 1` so
+    /// `x^γ` can never overflow on the skipped path. Then `v_quiet`, bisecting
+    /// the bit patterns of the non-negative `f64`s (which sort like their
+    /// values) on `u / v_full ≤ x_q`: monotone in `u`, true at `u = 0`, false at
+    /// `u = ∞` (`∞` or NaN). So `|v| ≤ v_quiet` ⇔ `|v| / v_full ≤ x_q`.
     fn with_quiet_bound(mut self) -> Self {
         const MARGIN: f64 = 1.0 / (1u64 << 60) as f64;
-        self.x_quiet = if self.gamma > 1.0 && self.g_leak > 0.0 {
-            let r = self.g_leak * self.v_full / (self.gamma * self.i_on) * MARGIN;
-            let x = r.powf(1.0 / (self.gamma - 1.0));
-            if x.is_finite() {
-                x.min(1.0)
-            } else {
-                0.0
-            }
+        let r = self.g_leak * self.v_full / (self.gamma * self.i_on) * MARGIN;
+        let x = r.powf(1.0 / (self.gamma - 1.0));
+        let x_quiet = if self.gamma > 1.0 && self.g_leak > 0.0 && x.is_finite() {
+            x.min(1.0)
         } else {
             0.0
         };
+        let (mut lo, mut hi) = (0u64, f64::INFINITY.to_bits());
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if f64::from_bits(mid) / self.v_full <= x_quiet {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        self.v_quiet = f64::from_bits(lo);
         self
     }
 
@@ -156,10 +160,10 @@ impl PolySelector {
     /// skip the power law without changing the result (see the type docs).
     #[must_use]
     pub fn current(&self, v: f64) -> f64 {
-        let x = v.abs() / self.v_full;
-        if x <= self.x_quiet {
+        if v.abs() <= self.v_quiet {
             return self.g_leak * v;
         }
+        let x = v.abs() / self.v_full;
         v.signum() * self.i_on * x.powf(self.gamma) + self.g_leak * v
     }
 
@@ -168,16 +172,30 @@ impl PolySelector {
     /// docs).
     #[must_use]
     pub fn conductance(&self, v: f64) -> f64 {
-        let x = v.abs() / self.v_full;
-        if x <= self.x_quiet {
+        if v.abs() <= self.v_quiet {
             return self.g_leak;
         }
+        let x = v.abs() / self.v_full;
         let g = if x > 0.0 {
             self.gamma * self.i_on / self.v_full * x.powf(self.gamma - 1.0)
         } else {
             0.0
         };
         g + self.g_leak
+    }
+
+    /// Norton linearization `(g, i0)` at `v`: bit for bit `conductance` and
+    /// `current − g·v`, with one quiet test for both.
+    #[must_use]
+    pub fn linearize(&self, v: f64) -> (f64, f64) {
+        if v.abs() <= self.v_quiet {
+            let g = self.g_leak;
+            // Not folded to 0: `g·v − g·v` is NaN where `g·v` overflows.
+            #[allow(clippy::eq_op)]
+            return (g, g * v - g * v);
+        }
+        let g = self.conductance(v);
+        (g, self.current(v) - g * v)
     }
 }
 
@@ -373,6 +391,9 @@ impl CellDevice {
     /// such that `I(v) ≈ g·v + i0` near `v0`.
     #[must_use]
     pub fn linearize(&self, v0: f64) -> (f64, f64) {
+        if let CellDevice::Selector(s) = self {
+            return s.linearize(v0);
+        }
         let g = self.conductance(v0);
         let i0 = self.current(v0) - g * v0;
         (g, i0)
@@ -526,17 +547,63 @@ mod tests {
         g + s.g_leak
     }
 
-    /// [`SeriesCell::current`] over the reference selector.
-    fn full_series_current(c: &SeriesCell, v: f64) -> f64 {
+    /// `x_q` as the shortcut first computed it, on its own.
+    fn quiet_ratio(s: &PolySelector) -> f64 {
+        const MARGIN: f64 = 1.0 / (1u64 << 60) as f64;
+        if s.gamma > 1.0 && s.g_leak > 0.0 {
+            let r = s.g_leak * s.v_full / (s.gamma * s.i_on) * MARGIN;
+            let x = r.powf(1.0 / (s.gamma - 1.0));
+            if x.is_finite() {
+                x.min(1.0)
+            } else {
+                0.0
+            }
+        } else {
+            0.0
+        }
+    }
+
+    /// The quiet-cell shortcut as it was first written: divide, then test
+    /// the ratio against `x_q`. The volts bound must match it bit for bit.
+    fn divide_first_current(s: &PolySelector, v: f64) -> f64 {
+        let x = v.abs() / s.v_full;
+        if x <= quiet_ratio(s) {
+            return s.g_leak * v;
+        }
+        v.signum() * s.i_on * x.powf(s.gamma) + s.g_leak * v
+    }
+
+    fn divide_first_conductance(s: &PolySelector, v: f64) -> f64 {
+        let x = v.abs() / s.v_full;
+        if x <= quiet_ratio(s) {
+            return s.g_leak;
+        }
+        full_conductance(s, v)
+    }
+
+    /// A selector reference: its current and its conductance.
+    type Reference = (fn(&PolySelector, f64) -> f64, fn(&PolySelector, f64) -> f64);
+
+    const FULL: Reference = (full_current, full_conductance);
+    const DIVIDE_FIRST: Reference = (divide_first_current, divide_first_conductance);
+
+    /// [`CellDevice::linearize`]'s two-call formula over a reference.
+    fn ref_linearize((cur, cond): Reference, s: &PolySelector, v: f64) -> (u64, u64) {
+        let g = cond(s, v);
+        (bits(g), bits(cur(s, v) - g * v))
+    }
+
+    /// [`SeriesCell::current`] over a reference selector.
+    fn ref_series_current((cur, cond): Reference, c: &SeriesCell, v: f64) -> f64 {
         let s = &c.selector;
         if c.r_mem == 0.0 {
-            return full_current(s, v);
+            return cur(s, v);
         }
-        let mut i = full_current(s, v);
+        let mut i = cur(s, v);
         for _ in 0..32 {
             let v_sel = v - i * c.r_mem;
-            let f = full_current(s, v_sel) - i;
-            let df = -full_conductance(s, v_sel) * c.r_mem - 1.0;
+            let f = cur(s, v_sel) - i;
+            let df = -cond(s, v_sel) * c.r_mem - 1.0;
             let step = f / df;
             i -= step;
             if step.abs() <= 1e-15 + 1e-9 * i.abs() {
@@ -546,14 +613,14 @@ mod tests {
         i
     }
 
-    fn full_series_conductance(c: &SeriesCell, v: f64) -> f64 {
-        let i = full_series_current(c, v);
-        let g_sel = full_conductance(&c.selector, v - i * c.r_mem);
+    fn ref_series_conductance(r: Reference, c: &SeriesCell, v: f64) -> f64 {
+        let i = ref_series_current(r, c, v);
+        let g_sel = (r.1)(&c.selector, v - i * c.r_mem);
         g_sel / (1.0 + g_sel * c.r_mem)
     }
 
     /// Probe voltages: seeded magnitudes over the whole exponent range,
-    /// the ulps around the quiet bound `x_quiet·v_full`, signed zeros,
+    /// the ulps around the quiet bound `v_quiet`, signed zeros,
     /// subnormals, NaN and infinities, each with both signs.
     fn probe_voltages(s: &PolySelector, rng: &mut reram_workloads::Rng64) -> Vec<f64> {
         let mut vs = vec![
@@ -566,7 +633,7 @@ mod tests {
             s.v_full,
             s.v_full / 2.0,
         ];
-        let edge = s.x_quiet * s.v_full;
+        let edge = s.v_quiet;
         let (mut up, mut down) = (edge, edge);
         for _ in 0..64 {
             vs.extend([up, down]);
@@ -586,22 +653,43 @@ mod tests {
         vs.iter().flat_map(|&v| [v, -v]).collect()
     }
 
-    fn assert_same_bits(got: f64, want: f64, ctx: &str) {
-        assert_eq!(got.to_bits(), want.to_bits(), "{ctx}: {got:e} vs {want:e}");
+    /// The bits of `x`, every NaN as one: Rust leaves the sign and payload
+    /// of a NaN result unspecified, and optimized builds propagate either
+    /// operand's NaN, so only "NaN or not" is a stable result.
+    fn bits(x: f64) -> u64 {
+        if x.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            x.to_bits()
+        }
     }
 
-    /// The quiet-cell shortcut returns exactly what the full power law
-    /// returns, on every probe voltage of every device.
-    fn check_quiet_exact(s: PolySelector, rng: &mut reram_workloads::Rng64) {
+    fn assert_same_bits(got: f64, want: f64, ctx: &str) {
+        assert_eq!(bits(got), bits(want), "{ctx}: {got:e} vs {want:e}");
+    }
+
+    /// The quiet-cell shortcut returns exactly what `reference` returns, on
+    /// every probe voltage of the selector, its series cell and the
+    /// linearizations of both.
+    fn check_against(reference: Reference, s: PolySelector, rng: &mut reram_workloads::Rng64) {
         let series = SeriesCell::new(s, 100e3);
         for v in probe_voltages(&s, rng) {
             let ctx = format!("{s:?} at v = {v:e}");
-            assert_same_bits(s.current(v), full_current(&s, v), &ctx);
-            assert_same_bits(s.conductance(v), full_conductance(&s, v), &ctx);
-            assert_same_bits(series.current(v), full_series_current(&series, v), &ctx);
+            assert_same_bits(s.current(v), (reference.0)(&s, v), &ctx);
+            assert_same_bits(s.conductance(v), (reference.1)(&s, v), &ctx);
+            let want = ref_linearize(reference, &s, v);
+            let (g, i0) = s.linearize(v);
+            assert_eq!((bits(g), bits(i0)), want, "{ctx}: linearize");
+            let (g, i0) = CellDevice::Selector(s).linearize(v);
+            assert_eq!((bits(g), bits(i0)), want, "{ctx}: device");
+            assert_same_bits(
+                series.current(v),
+                ref_series_current(reference, &series, v),
+                &ctx,
+            );
             assert_same_bits(
                 series.conductance(v),
-                full_series_conductance(&series, v),
+                ref_series_conductance(reference, &series, v),
                 &ctx,
             );
         }
@@ -613,18 +701,49 @@ mod tests {
         let lrs = PolySelector::new(90e-6, 3.0, 1000.0);
         let hrs = PolySelector::new(9e-6, 3.0, 1000.0);
         // The LRS bound is about 7 mV, so half-biased cells take it.
-        let edge = lrs.x_quiet * lrs.v_full;
+        let edge = lrs.v_quiet;
         assert!(edge > 5e-3 && edge < 9e-3, "LRS quiet bound {edge} V");
-        assert!(hrs.x_quiet > lrs.x_quiet);
-        for s in [lrs, hrs, lrs.with_leakage(0.0), lrs.with_leakage(1e-6)] {
-            check_quiet_exact(s, &mut rng);
+        assert!(hrs.v_quiet > lrs.v_quiet);
+        let devices = [
+            lrs,
+            hrs,
+            lrs.with_leakage(0.0),
+            lrs.with_leakage(1e-6),
+            lrs.with_leakage(f64::INFINITY),
+        ];
+        for s in devices {
+            check_against(FULL, s, &mut rng);
         }
         // No leakage, or a power law no steeper than linear: no shortcut.
-        assert_eq!(lrs.with_leakage(0.0).x_quiet, 0.0);
+        assert_eq!(quiet_ratio(&lrs.with_leakage(0.0)), 0.0);
         for kr in [1.5, 2.0] {
             let s = PolySelector::new(90e-6, 3.0, kr);
-            assert_eq!(s.x_quiet, 0.0);
-            check_quiet_exact(s, &mut rng);
+            assert_eq!(quiet_ratio(&s), 0.0);
+            check_against(FULL, s, &mut rng);
+        }
+    }
+
+    #[test]
+    fn volts_bound_matches_the_divide_first_test() {
+        let mut rng = reram_workloads::Rng64::new(0x0d1f_f1a7);
+        let lrs = PolySelector::new(90e-6, 3.0, 1000.0);
+        let devices = [
+            lrs,
+            PolySelector::new(9e-6, 3.0, 1000.0),
+            lrs.with_leakage(0.0),
+            PolySelector::new(90e-6, 3.0, 1.5),
+            PolySelector::new(90e-6, 3.0, 2.0),
+            PolySelector::new(1e-4, 0.7, 30.0).with_leakage(1e-12),
+            // Overflowing bound arithmetic: no ratio, NaN linearizations.
+            lrs.with_leakage(f64::INFINITY),
+        ];
+        for s in devices {
+            // `v_quiet` is the last voltage whose quotient passes the ratio
+            // test, so the next one up is the first that fails it.
+            let x_q = quiet_ratio(&s);
+            assert!(s.v_quiet / s.v_full <= x_q, "{s:?}");
+            assert!(s.v_quiet.next_up() / s.v_full > x_q, "{s:?}");
+            check_against(DIVIDE_FIRST, s, &mut rng);
         }
     }
 
@@ -642,7 +761,8 @@ mod tests {
             } else {
                 s.with_leakage(10f64.powf(rng.gen_range_f64(-12.0, -6.0)))
             };
-            check_quiet_exact(s, &mut rng);
+            check_against(FULL, s, &mut rng);
+            check_against(DIVIDE_FIRST, s, &mut rng);
         }
     }
 

@@ -58,6 +58,6 @@ pub use crosspoint::Crosspoint;
 pub use device::{CellDevice, CellState, CompliantCell, PolySelector, SeriesCell};
 pub use error::SolveError;
 pub use recover::{Recovery, RecoveryRung, RECOVERY_LEAK_S};
-pub use solve::{Solution, SolveOptions, SolveStats};
+pub use solve::{Solution, SolutionView, SolveOptions, SolveStats};
 pub(crate) use tridiag::{solve_tridiagonal_batch_const, TRIDIAG_BATCH_MAX};
 pub use workspace::SolverWorkspace;

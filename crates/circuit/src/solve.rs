@@ -22,7 +22,8 @@
 //!   depends only on the fixed bit-line plane (and vice versa). The one
 //!   relaxation kernel interleaves up to [`LINE_BATCH`] line systems per
 //!   batch and splits each phase into contiguous bands of whole batches,
-//!   one per thread of [`SolverWorkspace::with_threads`]. Every line's
+//!   one per thread of [`SolverWorkspace::with_threads`], each band at
+//!   least [`MIN_BAND_LINES`] lines. Every line's
 //!   system is built, solved and applied with the same arithmetic at any
 //!   thread count, so results are bitwise-identical to one thread.
 //! * **Linearization caching** — each cell's last `(v, g, i0)` Newton
@@ -31,6 +32,9 @@
 //!   model. The exact nonlinear KCL residual check still gates convergence,
 //!   so a stale cache can never produce a wrong answer — at worst it
 //!   triggers a cache refresh and more sweeps.
+//!
+//! [`Crosspoint::solve_into`] returns a [`SolutionView`] of the workspace
+//! planes instead of copying them into a [`Solution`].
 
 use crate::workspace::SolverWorkspace;
 use crate::{solve_tridiagonal_batch_const, Crosspoint, LineEnd, SolveError, TRIDIAG_BATCH_MAX};
@@ -145,27 +149,6 @@ pub struct Solution {
 }
 
 impl Solution {
-    /// A dimensionless placeholder to be filled by
-    /// [`Crosspoint::fill_solution`].
-    fn empty() -> Self {
-        Self {
-            rows: 0,
-            cols: 0,
-            vw: Vec::new(),
-            vb: Vec::new(),
-            cell_currents: Vec::new(),
-            src_wl_left: Vec::new(),
-            src_wl_right: Vec::new(),
-            src_bl_near: Vec::new(),
-            src_bl_far: Vec::new(),
-            stats: SolveStats {
-                sweeps: 0,
-                residual_amps: 0.0,
-                max_delta_volts: 0.0,
-            },
-        }
-    }
-
     /// Voltage of the word-line-plane junction at row `i`, column `j` (volts).
     #[must_use]
     pub fn wl_voltage(&self, i: usize, j: usize) -> f64 {
@@ -247,6 +230,51 @@ impl Solution {
     }
 }
 
+/// The operating point a [`SolverWorkspace`] converged to, read in place
+/// ([`Crosspoint::solve_into`]): voltages bit for bit those of the owned
+/// [`Solution`] of the same solve, without its cell and source currents.
+#[derive(Debug, Clone, Copy)]
+pub struct SolutionView<'w> {
+    rows: usize,
+    cols: usize,
+    vw: &'w [f64],
+    vb: &'w [f64],
+    stats: SolveStats,
+}
+
+impl SolutionView<'_> {
+    /// Voltage of the word-line-plane junction at row `i`, column `j` (volts).
+    #[must_use]
+    pub fn wl_voltage(&self, i: usize, j: usize) -> f64 {
+        self.vw[self.idx(i, j)]
+    }
+
+    /// Voltage of the bit-line-plane junction at row `i`, column `j` (volts).
+    #[must_use]
+    pub fn bl_voltage(&self, i: usize, j: usize) -> f64 {
+        self.vb[self.idx(i, j)]
+    }
+
+    /// Voltage across the cell at `(i, j)` in RESET polarity, `V(BL) − V(WL)`
+    /// (see [`Solution::cell_voltage`]).
+    #[must_use]
+    pub fn cell_voltage(&self, i: usize, j: usize) -> f64 {
+        let idx = self.idx(i, j);
+        self.vb[idx] - self.vw[idx]
+    }
+
+    /// Convergence statistics.
+    #[must_use]
+    pub fn stats(&self) -> SolveStats {
+        self.stats
+    }
+
+    fn idx(&self, i: usize, j: usize) -> usize {
+        assert!(i < self.rows && j < self.cols, "index out of bounds");
+        i * self.cols + j
+    }
+}
+
 /// Everything the relaxation kernel reads besides the planes, shared by
 /// every band of a phase.
 struct Relax<'a> {
@@ -284,13 +312,18 @@ struct CacheBand<P> {
     i0: P,
 }
 
-/// Band boundaries for `lines` lines on up to `threads` threads: band `b`
-/// is `bounds[b]..bounds[b + 1]`. Bands are whole [`LINE_BATCH`] batches
-/// (bar the ragged last one), so every batch holds exactly the lines it
-/// holds on one thread.
+/// Fewest lines a band holds: a band's thread is spawned afresh every phase,
+/// and two threads lose to one at 64² and win from 128² up on the solver
+/// bench. A multiple of [`LINE_BATCH`], so bands never outnumber batches.
+const MIN_BAND_LINES: usize = 64;
+
+/// Band boundaries for `lines` lines on up to `threads` threads, at least
+/// [`MIN_BAND_LINES`] lines per band: band `b` is `bounds[b]..bounds[b + 1]`.
+/// Bands are whole [`LINE_BATCH`] batches (bar the ragged last one), so
+/// every batch holds exactly the lines it holds on one thread.
 fn band_bounds(lines: usize, threads: usize) -> Vec<usize> {
     let batches = lines.div_ceil(LINE_BATCH);
-    let bands = threads.clamp(1, batches.max(1));
+    let bands = threads.min(lines / MIN_BAND_LINES).max(1);
     (0..=bands)
         .map(|b| (b * batches / bands * LINE_BATCH).min(lines))
         .collect()
@@ -771,29 +804,31 @@ impl Crosspoint {
         obs: &Obs,
     ) -> Result<Solution, SolveError> {
         let stats = self.solve_tracked(opts, ws, obs)?;
-        let mut sol = Solution::empty();
-        self.fill_solution(&ws.vw, &ws.vb, &ws.cur, stats, &mut sol);
-        Ok(sol)
+        Ok(self.solution(&ws.vw, &ws.vb, stats))
     }
 
-    /// [`Crosspoint::solve_warm`] without the per-call [`Solution`]
-    /// allocations: the result is written into the workspace's reusable
-    /// solution buffer and returned by reference. The tightest loop for
-    /// sweep-style callers that inspect a few numbers per solve.
+    /// [`Crosspoint::solve_warm`] without copying the result: the returned
+    /// view reads the converged voltage planes in place in the workspace,
+    /// where they also seed the next warm solve. The tightest loop for
+    /// sweep-style callers that inspect a few voltages per solve; it
+    /// computes no cell or source currents.
     ///
     /// # Errors
     ///
-    /// Exactly as [`Crosspoint::solve_warm`]; on error the workspace's
-    /// previous solution buffer is left unchanged.
+    /// Exactly as [`Crosspoint::solve_warm`].
     pub fn solve_into<'w>(
         &self,
         opts: &SolveOptions,
         ws: &'w mut SolverWorkspace,
-    ) -> Result<&'w Solution, SolveError> {
+    ) -> Result<SolutionView<'w>, SolveError> {
         let stats = self.solve_tracked(opts, ws, &Obs::off())?;
-        let sol = ws.sol.get_or_insert_with(Solution::empty);
-        self.fill_solution(&ws.vw, &ws.vb, &ws.cur, stats, sol);
-        Ok(sol)
+        Ok(SolutionView {
+            rows: self.rows(),
+            cols: self.cols(),
+            vw: &ws.vw,
+            vb: &ws.vb,
+            stats,
+        })
     }
 
     /// Wraps [`Crosspoint::solve_core`] with the `circuit.solve.*`
@@ -957,8 +992,7 @@ impl Crosspoint {
                 return Err(SolveError::Diverged { sweep });
             }
             if max_dv < opts.tol_volts {
-                let residual = self.kcl_residual(&ws.vw, &ws.vb, g_wl, g_bl, leak, &mut ws.cur)
-                    + residual_bias;
+                let residual = self.kcl_residual(&ws.vw, &ws.vb, g_wl, g_bl, leak) + residual_bias;
                 if residual < opts.tol_amps {
                     converged = Some(SolveStats {
                         sweeps: sweep + 1,
@@ -1000,10 +1034,8 @@ impl Crosspoint {
                 && sweep + 1 < opts.max_sweeps
                 && residual_tail.len() < SolveError::RESIDUAL_TAIL_LEN - 1
             {
-                residual_tail.push(
-                    self.kcl_residual(&ws.vw, &ws.vb, g_wl, g_bl, leak, &mut ws.cur)
-                        + residual_bias,
-                );
+                residual_tail
+                    .push(self.kcl_residual(&ws.vw, &ws.vb, g_wl, g_bl, leak) + residual_bias);
             }
         }
 
@@ -1018,8 +1050,7 @@ impl Crosspoint {
             None => {
                 // The final residual both caps the sampled trajectory and
                 // fills the error field — computed exactly once.
-                let residual = self.kcl_residual(&ws.vw, &ws.vb, g_wl, g_bl, leak, &mut ws.cur)
-                    + residual_bias;
+                let residual = self.kcl_residual(&ws.vw, &ws.vb, g_wl, g_bl, leak) + residual_bias;
                 residual_tail.push(residual);
                 Err(SolveError::NotConverged {
                     residual,
@@ -1031,51 +1062,33 @@ impl Crosspoint {
     }
 
     /// Derives the full [`Solution`] (nonlinear cell currents, source
-    /// currents) from converged plane voltages, reusing `out`'s buffers.
-    /// `cur` is the cell-current scratch the final (converged) residual
-    /// check filled for exactly these planes; it is copied instead of
-    /// re-evaluating every device model.
-    fn fill_solution(
-        &self,
-        vw: &[f64],
-        vb: &[f64],
-        cur: &[f64],
-        stats: SolveStats,
-        out: &mut Solution,
-    ) {
-        let rows = self.rows();
-        let cols = self.cols();
-        let n = rows * cols;
-        out.rows = rows;
-        out.cols = cols;
-        out.vw.clear();
-        out.vw.extend_from_slice(vw);
-        out.vb.clear();
-        out.vb.extend_from_slice(vb);
-        out.cell_currents.clear();
-        if cur.len() == n {
-            out.cell_currents.extend_from_slice(cur);
-        } else {
-            out.cell_currents
-                .extend((0..n).map(|idx| self.device(idx).current(vb[idx] - vw[idx])));
-        }
+    /// currents) from converged plane voltages.
+    fn solution(&self, vw: &[f64], vb: &[f64], stats: SolveStats) -> Solution {
+        let (rows, cols) = (self.rows(), self.cols());
         let src = |end: LineEnd, v_node: f64| -> f64 {
             let (g, v) = end.stamp();
             g * (v - v_node)
         };
-        out.src_wl_left.clear();
-        out.src_wl_left
-            .extend((0..rows).map(|i| src(self.wl_left(i), vw[i * cols])));
-        out.src_wl_right.clear();
-        out.src_wl_right
-            .extend((0..rows).map(|i| src(self.wl_right(i), vw[i * cols + cols - 1])));
-        out.src_bl_near.clear();
-        out.src_bl_near
-            .extend((0..cols).map(|j| src(self.bl_near(j), vb[j])));
-        out.src_bl_far.clear();
-        out.src_bl_far
-            .extend((0..cols).map(|j| src(self.bl_far(j), vb[(rows - 1) * cols + j])));
-        out.stats = stats;
+        Solution {
+            rows,
+            cols,
+            vw: vw.to_vec(),
+            vb: vb.to_vec(),
+            cell_currents: (0..rows * cols)
+                .map(|idx| self.device(idx).current(vb[idx] - vw[idx]))
+                .collect(),
+            src_wl_left: (0..rows)
+                .map(|i| src(self.wl_left(i), vw[i * cols]))
+                .collect(),
+            src_wl_right: (0..rows)
+                .map(|i| src(self.wl_right(i), vw[i * cols + cols - 1]))
+                .collect(),
+            src_bl_near: (0..cols).map(|j| src(self.bl_near(j), vb[j])).collect(),
+            src_bl_far: (0..cols)
+                .map(|j| src(self.bl_far(j), vb[(rows - 1) * cols + j]))
+                .collect(),
+            stats,
+        }
     }
 
     /// Builds a starting iterate from the boundary conditions: every line
@@ -1126,35 +1139,20 @@ impl Crosspoint {
     }
 
     /// Worst KCL residual over all junctions, using the *nonlinear* device
-    /// currents (amperes). The per-cell currents are evaluated once, kept
-    /// in `cur` (indexed like the planes), and reused by the BL pass — and,
-    /// after a converged solve, by [`Crosspoint::fill_solution`].
-    fn kcl_residual(
-        &self,
-        vw: &[f64],
-        vb: &[f64],
-        g_wl: f64,
-        g_bl: f64,
-        leak: f64,
-        cur: &mut Vec<f64>,
-    ) -> f64 {
+    /// currents (amperes). One row-major pass evaluates each cell current
+    /// once and feeds it to both of its nodes. Every node's sum keeps its
+    /// term order, and the `max` fold over `|s|` does not depend on the
+    /// order nodes are visited in (NaN is skipped in any order).
+    fn kcl_residual(&self, vw: &[f64], vb: &[f64], g_wl: f64, g_bl: f64, leak: f64) -> f64 {
         let rows = self.rows();
         let cols = self.cols();
-        cur.clear();
-        let (devices, cells) = self.cells();
-        cur.extend(
-            vb.iter()
-                .zip(vw)
-                .zip(cells)
-                .map(|((&b, &w), &c)| devices[c as usize].current(b - w)),
-        );
         let mut worst = 0.0f64;
         for i in 0..rows {
             let (gl, vl) = self.wl_left(i).stamp();
             let (gr, vr) = self.wl_right(i).stamp();
             for j in 0..cols {
                 let idx = i * cols + j;
-                let i_cell = cur[idx];
+                let i_cell = self.device(idx).current(vb[idx] - vw[idx]);
                 // Currents leaving the WL-plane node.
                 let mut s = -i_cell + leak * vw[idx];
                 if j > 0 {
@@ -1168,24 +1166,18 @@ impl Crosspoint {
                     s += gr * (vw[idx] - vr);
                 }
                 worst = worst.max(s.abs());
-            }
-        }
-        for j in 0..cols {
-            let (gn, vn) = self.bl_near(j).stamp();
-            let (gf, vf) = self.bl_far(j).stamp();
-            for i in 0..rows {
-                let idx = i * cols + j;
-                let i_cell = cur[idx];
                 // Currents leaving the BL-plane node.
                 let mut s = i_cell + leak * vb[idx];
                 if i > 0 {
                     s += g_bl * (vb[idx] - vb[idx - cols]);
                 } else {
+                    let (gn, vn) = self.bl_near(j).stamp();
                     s += gn * (vb[idx] - vn);
                 }
                 if i + 1 < rows {
                     s += g_bl * (vb[idx] - vb[idx + cols]);
                 } else {
+                    let (gf, vf) = self.bl_far(j).stamp();
                     s += gf * (vb[idx] - vf);
                 }
                 worst = worst.max(s.abs());
@@ -1492,17 +1484,202 @@ mod tests {
         let opts = SolveOptions::default();
         let byval = cp.solve(&opts).unwrap();
         let mut ws = SolverWorkspace::new();
-        let veff = cp
-            .solve_into(&opts, &mut ws)
-            .unwrap()
-            .cell_voltage(n - 1, n - 1);
+        let view = cp.solve_into(&opts, &mut ws).unwrap();
+        let veff = view.cell_voltage(n - 1, n - 1);
         assert_eq!(veff.to_bits(), byval.cell_voltage(n - 1, n - 1).to_bits());
-        // Second call refills the same buffer warm.
+        assert_eq!(view.stats(), byval.stats());
+        // The view reads the workspace planes, which seed the next call.
+        let k = (n - 1) * n + n - 1;
+        assert_eq!((ws.vb[k] - ws.vw[k]).to_bits(), veff.to_bits());
         let veff2 = cp
             .solve_into(&opts, &mut ws)
             .unwrap()
             .cell_voltage(n - 1, n - 1);
+        assert!(ws.last_used_warm_start());
         assert!((veff2 - veff).abs() < 1e-9);
-        assert!(ws.solution().is_some());
+    }
+
+    /// Asserts that a view and an owned solution hold the same voltage
+    /// planes and statistics, bit for bit.
+    fn assert_view_is(view: &SolutionView<'_>, sol: &Solution, ctx: &str) {
+        assert_eq!(view.stats(), sol.stats(), "{ctx}");
+        for i in 0..sol.rows {
+            for j in 0..sol.cols {
+                let got = [
+                    view.wl_voltage(i, j),
+                    view.bl_voltage(i, j),
+                    view.cell_voltage(i, j),
+                ];
+                let want = [
+                    sol.wl_voltage(i, j),
+                    sol.bl_voltage(i, j),
+                    sol.cell_voltage(i, j),
+                ];
+                assert_eq!(
+                    got.map(f64::to_bits),
+                    want.map(f64::to_bits),
+                    "{ctx} at ({i}, {j})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn solve_into_view_equals_the_owned_solution_bit_for_bit() {
+        // 130 lines per plane: two bands on two threads.
+        let n = 130;
+        let mut first = Crosspoint::uniform(n, n, 11.5, lrs());
+        reset_bias(&mut first, n - 1, n - 1, 3.0);
+        let mut second = first.clone();
+        second.set_bl_near(n - 1, LineEnd::driven(3.004));
+        let opts = SolveOptions::default();
+        for threads in [1, 2] {
+            let mut ws_view = SolverWorkspace::new().with_threads(threads);
+            let mut ws_owned = SolverWorkspace::new().with_threads(threads);
+            for (k, cp) in [&first, &second].into_iter().enumerate() {
+                let owned = cp.solve_warm(&opts, &mut ws_owned).unwrap();
+                let view = cp.solve_into(&opts, &mut ws_view).unwrap();
+                assert_view_is(&view, &owned, &format!("threads={threads} warm={}", k > 0));
+                assert_eq!(ws_view.last_used_warm_start(), k > 0);
+            }
+        }
+    }
+
+    #[test]
+    fn solve_into_leaves_only_the_voltage_planes_and_batch_scratch() {
+        let n = 512;
+        let mut cp = Crosspoint::uniform(n, n, 11.5, lrs());
+        reset_bias(&mut cp, n - 1, n - 1, 3.0);
+        let mut ws = SolverWorkspace::new().with_threads(2);
+        cp.solve_into(&SolveOptions::default(), &mut ws).unwrap();
+        // Exhaustive on purpose: a new buffer must be accounted for here.
+        let SolverWorkspace {
+            threads: _,
+            vw,
+            vb,
+            seeded,
+            diag,
+            rhs,
+            lin_v,
+            lin_g,
+            lin_i0,
+            cache_dims: _,
+            last_warm: _,
+            last_cache_hits: _,
+            last_cache_lookups: _,
+            warm_hits_total: _,
+            faults: _,
+        } = &ws;
+        assert_eq!(*seeded, Some((n, n)));
+        assert_eq!((vw.capacity(), vb.capacity()), (n * n, n * n));
+        // One interleaved batch of line systems per band, two bands.
+        let scratch = 2 * LINE_BATCH * n;
+        assert_eq!((diag.capacity(), rhs.capacity()), (scratch, scratch));
+        // The linearization cache is off by default.
+        assert_eq!(lin_v.capacity() + lin_g.capacity() + lin_i0.capacity(), 0);
+    }
+
+    /// The residual as it was computed before the fused pass: every cell
+    /// current into a plane first, then a row-major WL pass and a
+    /// column-major BL pass over it.
+    fn two_pass_residual(cp: &Crosspoint, vw: &[f64], vb: &[f64], leak: f64) -> f64 {
+        let (rows, cols) = (cp.rows(), cp.cols());
+        let (g_wl, g_bl) = (1.0 / cp.r_wire_wl(), 1.0 / cp.r_wire_bl());
+        let cur: Vec<f64> = (0..rows * cols)
+            .map(|idx| cp.device(idx).current(vb[idx] - vw[idx]))
+            .collect();
+        let mut worst = 0.0f64;
+        for i in 0..rows {
+            let (gl, vl) = cp.wl_left(i).stamp();
+            let (gr, vr) = cp.wl_right(i).stamp();
+            for j in 0..cols {
+                let idx = i * cols + j;
+                let mut s = -cur[idx] + leak * vw[idx];
+                if j > 0 {
+                    s += g_wl * (vw[idx] - vw[idx - 1]);
+                } else {
+                    s += gl * (vw[idx] - vl);
+                }
+                if j + 1 < cols {
+                    s += g_wl * (vw[idx] - vw[idx + 1]);
+                } else {
+                    s += gr * (vw[idx] - vr);
+                }
+                worst = worst.max(s.abs());
+            }
+        }
+        for j in 0..cols {
+            let (gn, vn) = cp.bl_near(j).stamp();
+            let (gf, vf) = cp.bl_far(j).stamp();
+            for i in 0..rows {
+                let idx = i * cols + j;
+                let mut s = cur[idx] + leak * vb[idx];
+                if i > 0 {
+                    s += g_bl * (vb[idx] - vb[idx - cols]);
+                } else {
+                    s += gn * (vb[idx] - vn);
+                }
+                if i + 1 < rows {
+                    s += g_bl * (vb[idx] - vb[idx + cols]);
+                } else {
+                    s += gf * (vb[idx] - vf);
+                }
+                worst = worst.max(s.abs());
+            }
+        }
+        worst
+    }
+
+    #[test]
+    fn fused_residual_equals_the_two_pass_residual() {
+        let mut rng = reram_workloads::Rng64::new(0x4e51_d0a1);
+        let end = |rng: &mut reram_workloads::Rng64| match rng.gen_range_usize(0, 3) {
+            0 => LineEnd::floating(),
+            1 => LineEnd::ground(),
+            _ => LineEnd::driven(rng.gen_range_f64(0.0, 3.0)),
+        };
+        let mut solved = 0;
+        for case in 0..24 {
+            let (rows, cols) = (rng.gen_range_usize(1, 20), rng.gen_range_usize(1, 20));
+            let selectors = case % 2 == 1;
+            let mut cp = Crosspoint::uniform(rows, cols, rng.gen_range_f64(1.0, 20.0), lrs());
+            for i in 0..rows {
+                for j in 0..cols {
+                    let g = rng.gen_range_f64(1e-7, 1e-4);
+                    let sel = PolySelector::new(g, 3.0, rng.gen_range_f64(1.5, 2000.0));
+                    let dev = match (selectors, rng.gen_range_usize(0, 4)) {
+                        (false, _) => CellDevice::Linear(g),
+                        (true, 0) => CellDevice::Series(crate::SeriesCell::new(sel, 1e5)),
+                        (true, 1) => CellDevice::Compliant(crate::CompliantCell::new(g, 0.25)),
+                        (true, _) => CellDevice::Selector(sel),
+                    };
+                    cp.set_cell(i, j, dev);
+                }
+                cp.set_wl_left(i, end(&mut rng));
+                cp.set_wl_right(i, end(&mut rng));
+            }
+            for j in 0..cols {
+                cp.set_bl_near(j, end(&mut rng));
+                cp.set_bl_far(j, end(&mut rng));
+            }
+            let n = rows * cols;
+            let vw: Vec<f64> = (0..n).map(|_| rng.gen_range_f64(-0.5, 3.5)).collect();
+            let vb: Vec<f64> = (0..n).map(|_| rng.gen_range_f64(-0.5, 3.5)).collect();
+            let (g_wl, g_bl) = (1.0 / cp.r_wire_wl(), 1.0 / cp.r_wire_bl());
+            for leak in [NODE_LEAK_S, NODE_LEAK_S + 1e-9] {
+                let want = two_pass_residual(&cp, &vw, &vb, leak);
+                let got = cp.kcl_residual(&vw, &vb, g_wl, g_bl, leak);
+                assert_eq!(got.to_bits(), want.to_bits(), "case {case}");
+            }
+            // And at the operating point, when the network has one.
+            if let Ok(sol) = cp.solve(&SolveOptions::default()) {
+                solved += 1;
+                let got = cp.kcl_residual(&sol.vw, &sol.vb, g_wl, g_bl, NODE_LEAK_S);
+                let want = two_pass_residual(&cp, &sol.vw, &sol.vb, NODE_LEAK_S);
+                assert_eq!(got.to_bits(), want.to_bits(), "case {case} solved");
+                assert_eq!(got.to_bits(), sol.stats().residual_amps.to_bits());
+            }
+        }
+        assert!(solved > 12, "only {solved} of 24 networks solved");
     }
 }

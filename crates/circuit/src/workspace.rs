@@ -3,16 +3,16 @@
 //! A [`SolverWorkspace`] owns everything a solve needs beyond the network
 //! itself: the working voltage planes (which double as the warm-start seed
 //! for the next solve), the tridiagonal scratch buffers, the per-cell
-//! linearization cache, the number of threads the relaxation kernel runs
-//! its line bands on, and a reusable output [`Solution`]. Callers that
-//! solve the same (or a slowly-varying) network many times — validation
-//! grids, voltage ramps, figure sweeps — hold one workspace and call
+//! linearization cache, and the number of threads the relaxation kernel
+//! runs its line bands on. Callers that solve the same (or a
+//! slowly-varying) network many times — validation grids, voltage ramps,
+//! figure sweeps — hold one workspace and call
 //! [`Crosspoint::solve_warm`](crate::Crosspoint::solve_warm) or
 //! [`Crosspoint::solve_into`](crate::Crosspoint::solve_into) instead of
 //! [`Crosspoint::solve`](crate::Crosspoint::solve), so each solve starts
-//! from the previous operating point and reuses every allocation.
+//! from the previous operating point and reuses every allocation;
+//! `solve_into` reads its result from the workspace planes in place.
 
-use crate::solve::Solution;
 use reram_fault::FaultInjector;
 use std::sync::Arc;
 
@@ -42,10 +42,6 @@ pub struct SolverWorkspace {
     /// of a cross-point line system are all `-g_wire`.
     pub(crate) diag: Vec<f64>,
     pub(crate) rhs: Vec<f64>,
-    /// Nonlinear cell currents evaluated at the most recent KCL residual
-    /// check; after a converged solve these belong to the final planes and
-    /// are reused when filling the output [`Solution`].
-    pub(crate) cur: Vec<f64>,
     /// Linearization cache, indexed by cell: the junction voltage each
     /// cell was last linearized at (`NaN` = no entry) …
     pub(crate) lin_v: Vec<f64>,
@@ -63,8 +59,6 @@ pub struct SolverWorkspace {
     pub(crate) last_cache_lookups: u64,
     /// Cumulative count of solves that used a warm seed.
     pub(crate) warm_hits_total: u64,
-    /// Reusable output for [`Crosspoint::solve_into`](crate::Crosspoint::solve_into).
-    pub(crate) sol: Option<Solution>,
     /// Fault-injection plane and the (site, target) scope this workspace
     /// fires under; `None` disables injection entirely.
     pub(crate) faults: Option<(Arc<FaultInjector>, String)>,
@@ -87,7 +81,6 @@ impl SolverWorkspace {
             seeded: None,
             diag: Vec::new(),
             rhs: Vec::new(),
-            cur: Vec::new(),
             lin_v: Vec::new(),
             lin_g: Vec::new(),
             lin_i0: Vec::new(),
@@ -96,15 +89,14 @@ impl SolverWorkspace {
             last_cache_hits: 0,
             last_cache_lookups: 0,
             warm_hits_total: 0,
-            sol: None,
             faults: None,
         }
     }
 
     /// Splits each relaxation phase into up to `threads` contiguous bands
     /// of lines, relaxed concurrently on scoped threads (`0` counts as
-    /// `1`). Bands are whole interleaved batches of lines, so an array
-    /// with fewer batches than threads uses fewer threads. Every line's
+    /// `1`). Bands are whole interleaved batches of at least 64 lines, so a
+    /// small plane uses fewer threads (one under 128 lines). Every line's
     /// system is built, solved and applied with the one-thread arithmetic,
     /// so any thread count gives bitwise the same solution and
     /// [`SolveStats`](crate::SolveStats).
@@ -173,12 +165,5 @@ impl SolverWorkspace {
     /// stall-detect-and-retry recovery under looser epsilons.
     pub fn invalidate_cache(&mut self) {
         self.lin_v.fill(f64::NAN);
-    }
-
-    /// The solution produced by the most recent
-    /// [`Crosspoint::solve_into`](crate::Crosspoint::solve_into), if any.
-    #[must_use]
-    pub fn solution(&self) -> Option<&Solution> {
-        self.sol.as_ref()
     }
 }

@@ -78,9 +78,11 @@ fn solve_pair(
 
 #[test]
 fn parallel_solve_is_bitwise_identical_to_serial() {
-    // Sizes chosen so neither the bands nor the 8-line batches divide the
-    // line counts evenly.
-    for &(rows, cols) in &[(64usize, 64usize), (72, 65), (65, 130)] {
+    // Bands hold at least 64 lines, so 64×64 stays one band, the 200 WLs
+    // split 0..96 | 96..200 on two threads and 0..64 | 64..128 | 128..200
+    // on three, and the 130 BLs split 0..64 | 64..130. Neither the bands
+    // nor the 8-line batches divide the line counts evenly.
+    for &(rows, cols) in &[(64usize, 64usize), (200, 72), (65, 130)] {
         let first = biased(rows, cols, 1000.0, 2.82);
         // The second network moves the selected BL by a few millivolts and
         // swaps one device, as a DRVR ramp over a row would.
@@ -300,15 +302,15 @@ fn singular(rows: usize, cols: usize, bad: &[(usize, usize)]) -> Crosspoint {
 
 #[test]
 fn singular_line_surfaces_through_the_parallel_path() {
-    // Two threads split the 64 word-lines 0..32 | 32..64, three threads
-    // 0..16 | 16..40 | 40..64. Word-line 40 is in the second band on two
-    // threads; 35 and 50 share a band on two threads and straddle two on
-    // three, where the lower band's error must win. Bit-line 40 of a
-    // one-row array is flattened line 1 + 40.
+    // Two threads split the 192 word-lines 0..96 | 96..192, three threads
+    // 0..64 | 64..128 | 128..192. Word-line 100 is in the second band on
+    // two threads; 50 and 70 share a band on two threads and straddle two
+    // on three, where the lower band's error must win. Bit-line 100 of a
+    // one-row array is flattened line 1 + 100.
     let cases = [
-        (singular(64, 1, &[(40, 0)]), 40),
-        (singular(64, 1, &[(50, 0), (35, 0)]), 35),
-        (singular(1, 64, &[(0, 40)]), 41),
+        (singular(192, 1, &[(100, 0)]), 100),
+        (singular(192, 1, &[(70, 0), (50, 0)]), 50),
+        (singular(1, 192, &[(0, 100)]), 101),
     ];
     for (cp, line) in &cases {
         for threads in [1usize, 2, 3] {
@@ -321,10 +323,10 @@ fn singular_line_surfaces_through_the_parallel_path() {
         }
     }
     // A failed solve must not leave a warm seed behind.
-    let mut cp = singular(64, 1, &[(40, 0)]);
+    let mut cp = singular(192, 1, &[(100, 0)]);
     let mut ws = SolverWorkspace::new().with_threads(2);
     assert!(cp.solve_warm(&SolveOptions::default(), &mut ws).is_err());
-    cp.set_cell(40, 0, CellDevice::Linear(1e-5));
+    cp.set_cell(100, 0, CellDevice::Linear(1e-5));
     cp.solve_warm(&SolveOptions::default(), &mut ws)
         .expect("repaired network converges");
     assert!(!ws.last_used_warm_start());

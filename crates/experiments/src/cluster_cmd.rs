@@ -9,15 +9,22 @@
 //! ```
 //!
 //! Runs the same seeded workload against an in-process N-replica
-//! [`ClusterGroup`] twice: a fault-free **baseline**, then (with `--kill`
-//! or `--faults`) a **drill** whose leader is killed mid-traffic. The
+//! [`ClusterGroup`] twice: (with `--kill` or `--faults`) a **drill** whose
+//! leader is killed mid-traffic, then a fault-free **baseline**. The
 //! acceptance gate of the replication subsystem is printed at the end and
-//! sets the exit code: the drill's outcome-ledger digest must be
+//! sets the exit code: the drill's outcome-ledger digests must be
 //! **byte-identical** to the baseline's, and all surviving replicas must
 //! fold their replicated logs to a single digest.
 //!
+//! The kill is pinned to a pump tick, and a fast host can finish a fixed
+//! amount of traffic before that tick. So the workload runs in seeded
+//! rounds (round `r` on seed `--seed + r`, one group for all rounds): the
+//! drill keeps starting rounds until the plan has fired and one whole
+//! round has run after it, and the baseline runs the same number of
+//! rounds. Without a drill the baseline runs one round.
+//!
 //! `--kill` arms a built-in plan (one `cluster.leader.kill` at pump tick
-//! `--kill-tick`, default 60, safely inside the traffic phase of even a short run); `--faults PLAN.json` loads an explicit
+//! `--kill-tick`, default 60); `--faults PLAN.json` loads an explicit
 //! plan instead — CI's `cluster-smoke` leg uses the checked-in
 //! `ci/cluster_fault_plan.json` so the drill schedule is reviewable.
 
@@ -32,19 +39,50 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Rounds a drill starts at most while its plan has not fired: a plan
+/// that never kills a leader fails the kill gate instead of looping.
+const MAX_DRILL_ROUNDS: usize = 1000;
+
 struct DrillRun {
-    report: LoadReport,
+    /// One load report per round, in order.
+    rounds: Vec<LoadReport>,
     digests: Vec<Option<u32>>,
     leader_kills: u64,
 }
 
-/// One full cluster run: elect, drive the workload, converge, digest.
+impl DrillRun {
+    fn total(&self, field: fn(&LoadReport) -> u64) -> u64 {
+        self.rounds.iter().map(field).sum()
+    }
+
+    fn ledgers(&self) -> Vec<u32> {
+        self.rounds.iter().map(|r| r.ledger_crc).collect()
+    }
+
+    /// Resolved requests per second over every round.
+    fn req_per_s(&self) -> f64 {
+        let secs: f64 = self.rounds.iter().map(|r| r.elapsed_s).sum();
+        self.total(|r| r.requests) as f64 / secs.max(f64::MIN_POSITIVE)
+    }
+
+    fn rounds_json(&self) -> String {
+        let parts: Vec<String> = self.rounds.iter().map(|r| indent(&r.to_json())).collect();
+        format!("[\n  {}\n]", parts.join(",\n  "))
+    }
+}
+
+/// One full cluster run: elect, drive at least `min_rounds` rounds of the
+/// workload (with `faults`, also until a round has started after the plan
+/// fired), converge, digest.
 fn run_once(
     gcfg: &GroupConfig,
     lcfg_base: &LoadConfig,
     obs: &Obs,
     faults: Option<Arc<FaultInjector>>,
+    min_rounds: usize,
 ) -> Result<DrillRun, String> {
+    let kills = || obs.counter("cluster.leader.kills").get();
+    let kills_before = kills();
     let group = ClusterGroup::start(gcfg, obs, Tracer::off(), faults.clone())
         .map_err(|e| format!("cannot start cluster group: {e}"))?;
     group
@@ -54,17 +92,25 @@ fn run_once(
     let mut lcfg = lcfg_base.clone();
     lcfg.addr = addrs[0];
     lcfg.peers = addrs;
-    let report = reram_loadgen::run(&lcfg, obs);
+    let mut rounds = Vec::new();
+    let mut ran_after_fire = false;
+    while rounds.len() < min_rounds
+        || (faults.is_some() && !ran_after_fire && rounds.len() < MAX_DRILL_ROUNDS)
+    {
+        let fired = faults.as_ref().is_some_and(|f| f.injected() > 0);
+        lcfg.seed = lcfg_base.seed + rounds.len() as u64;
+        rounds.push(reram_loadgen::run(&lcfg, obs));
+        ran_after_fire |= fired;
+    }
     if !group.wait_converged(Duration::from_secs(30)) {
         return Err("replicas did not converge after the run".into());
     }
     let digests = group.ledger_digests();
     group.shutdown();
-    let leader_kills = obs.counter("cluster.leader.kills").get();
     Ok(DrillRun {
-        report,
+        rounds,
         digests,
-        leader_kills,
+        leader_kills: kills() - kills_before,
     })
 }
 
@@ -195,7 +241,18 @@ pub fn cluster_cmd(args: &[String]) -> ExitCode {
         "[cluster: {replicas} replicas, mode {mode_name}, {clients} clients x {requests} reqs, \
          seed {seed}]"
     );
-    let baseline = match run_once(&gcfg, &lcfg, &obs, None) {
+    let drill = match drill_faults {
+        Some(f) => match run_once(&gcfg, &lcfg, &obs, Some(f), 1) {
+            Ok(r) => Some(r),
+            Err(e) => {
+                eprintln!("error: drill run: {e}");
+                return ExitCode::FAILURE;
+            }
+        },
+        None => None,
+    };
+    let rounds = drill.as_ref().map_or(1, |d| d.rounds.len());
+    let baseline = match run_once(&gcfg, &lcfg, &obs, None, rounds) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: baseline run: {e}");
@@ -203,62 +260,55 @@ pub fn cluster_cmd(args: &[String]) -> ExitCode {
         }
     };
     eprintln!(
-        "[baseline: {:.0} req/s, ledger {:08x}]",
-        baseline.report.req_per_s, baseline.report.ledger_crc
+        "[baseline: {rounds} round(s), {:.0} req/s, ledger {:08x}]",
+        baseline.req_per_s(),
+        baseline.rounds[0].ledger_crc
     );
 
-    let drill = match drill_faults {
-        Some(f) => match run_once(&gcfg, &lcfg, &obs, Some(f)) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: drill run: {e}");
+    let Some(drill) = drill else {
+        // No drill requested: report the baseline alone.
+        let json = format!(
+            "{{\n  \"replicas\": {replicas},\n  \"mode\": \"{mode_name}\",\n  \
+             \"seed\": {seed},\n  \"baseline\": {},\n  \
+             \"replica_digests\": {}\n}}",
+            indent(&baseline.rounds[0].to_json()),
+            digest_json(&baseline.digests),
+        );
+        println!("{json}");
+        if let Some(p) = json_path.as_ref() {
+            if let Err(e) = std::fs::write(p, json + "\n") {
+                eprintln!("failed to write {}: {e}", p.display());
                 return ExitCode::FAILURE;
             }
-        },
-        None => {
-            // No drill requested: report the baseline alone.
-            let json = format!(
-                "{{\n  \"replicas\": {replicas},\n  \"mode\": \"{mode_name}\",\n  \
-                 \"seed\": {seed},\n  \"baseline\": {},\n  \
-                 \"replica_digests\": {}\n}}",
-                indent(&baseline.report.to_json()),
-                digest_json(&baseline.digests),
-            );
-            println!("{json}");
-            if let Some(p) = json_path.as_ref() {
-                if let Err(e) = std::fs::write(p, json + "\n") {
-                    eprintln!("failed to write {}: {e}", p.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-            finish_telemetry(&obs, telemetry.as_ref());
-            return ExitCode::SUCCESS;
         }
+        finish_telemetry(&obs, telemetry.as_ref());
+        return ExitCode::SUCCESS;
     };
 
-    // The gate: the drill must be byte-invisible in the client ledger and
-    // leave the survivors on one replicated-log digest.
+    // The gate: the drill must be byte-invisible in every round's client
+    // ledger and leave the survivors on one replicated-log digest.
     let survivors: Vec<u32> = drill.digests.iter().flatten().copied().collect();
-    let digests_match = baseline.report.ledger_crc == drill.report.ledger_crc;
+    let digests_match = baseline.ledgers() == drill.ledgers();
     let survivors_agree = !survivors.is_empty() && survivors.iter().all(|d| *d == survivors[0]);
-    let clean = drill.report.audit_failures == 0 && drill.report.read_mismatches == 0;
-    let killed = drill.leader_kills > baseline.leader_kills;
+    let clean = drill.total(|r| r.audit_failures) == 0 && drill.total(|r| r.read_mismatches) == 0;
+    let killed = drill.leader_kills > 0;
+    let redirects = drill.total(|r| r.redirects);
     eprintln!(
-        "[drill: {:.0} req/s, ledger {:08x}, {} redirect(s), {} kill(s), {} survivor(s)]",
-        drill.report.req_per_s,
-        drill.report.ledger_crc,
-        drill.report.redirects,
-        drill.leader_kills - baseline.leader_kills,
+        "[drill: {rounds} round(s), {:.0} req/s, ledger {:08x}, {redirects} redirect(s), \
+         {} kill(s), {} survivor(s)]",
+        drill.req_per_s(),
+        drill.rounds[0].ledger_crc,
+        drill.leader_kills,
         survivors.len(),
     );
 
     let json = format!(
         "{{\n  \"replicas\": {replicas},\n  \"mode\": \"{mode_name}\",\n  \"seed\": {seed},\n  \
-         \"baseline\": {},\n  \"drill\": {},\n  \
+         \"rounds\": {rounds},\n  \"baseline\": {},\n  \"drill\": {},\n  \
          \"baseline_digests\": {},\n  \"drill_digests\": {},\n  \
          \"ledger_match\": {digests_match},\n  \"survivors_agree\": {survivors_agree}\n}}",
-        indent(&baseline.report.to_json()),
-        indent(&drill.report.to_json()),
+        indent(&baseline.rounds_json()),
+        indent(&drill.rounds_json()),
         digest_json(&baseline.digests),
         digest_json(&drill.digests),
     );
@@ -275,7 +325,7 @@ pub fn cluster_cmd(args: &[String]) -> ExitCode {
     for (cond, msg) in [
         (killed, "FAIL: the fault plan never killed a leader"),
         (
-            !killed || drill.report.redirects > 0,
+            !killed || redirects > 0,
             "FAIL: the leader kill never redirected a client",
         ),
         (
@@ -295,8 +345,8 @@ pub fn cluster_cmd(args: &[String]) -> ExitCode {
     }
     if ok {
         eprintln!(
-            "PASS: leader kill was byte-invisible (ledger {:08x})",
-            drill.report.ledger_crc
+            "PASS: leader kill was byte-invisible (ledger {:08x}, {rounds} round(s))",
+            drill.rounds[0].ledger_crc
         );
         ExitCode::SUCCESS
     } else {

@@ -125,7 +125,7 @@ pub enum Physics {
 /// (row, count). Per-plan prices solve each DRVR section at its midpoint
 /// row, so a run pays for at most `sections × data_width` solves plus the
 /// worst-case budget probe. The solves run in the order the run first asks
-/// for each key, each warm-started from the one before.
+/// for each key, each warm-started from the one before and read in place.
 struct ExactTimer {
     write: WriteModel,
     geom: ArrayGeometry,
@@ -181,7 +181,7 @@ impl ExactTimer {
         let cp = self.write.model().to_crosspoint(row, &cols, &applied);
         let veff = cp.solve_into(&self.opts, &mut self.ws).ok().map(|sol| {
             cols.iter()
-                .map(|&j| sol.bl_voltage(row, j) - sol.wl_voltage(row, j))
+                .map(|&j| sol.cell_voltage(row, j))
                 .fold(f64::INFINITY, f64::min)
         });
         self.solves.inc();
