@@ -10,10 +10,12 @@ use reram_core::{partition_reset, Scheme, WriteModel};
 use reram_durable::{DurableConfig, DurableLog, REC_ENTRY};
 use reram_exec::{par_map, ThreadPool};
 use reram_loadgen::{run_traced, LoadConfig};
-use reram_mem::{FnwCodec, MemoryConfig, MemoryController, Request, SecurityRefresh};
+use reram_mem::{
+    AddressMapper, FnwCodec, FnwWrite, MemoryConfig, MemoryController, Request, SecurityRefresh,
+};
 use reram_obs::{Obs, TraceContext, Tracer};
 use reram_serve::{ServeConfig, Server};
-use reram_workloads::BenchProfile;
+use reram_workloads::{AccessKind, BenchProfile, TraceGenerator};
 
 fn bench_solver(h: &mut Harness) {
     let sizes: &[usize] = if h.is_full() {
@@ -149,9 +151,9 @@ fn bench_partition_reset(h: &mut Harness) {
 
 fn bench_fnw(h: &mut Harness) {
     let codec = FnwCodec::paper();
-    let old: Vec<u8> = (0..64).map(|i| (i * 37) as u8).collect();
-    let new: Vec<u8> = (0..64).map(|i| (i * 91 + 13) as u8).collect();
-    let flips = vec![false; 64];
+    let old: [u8; 64] = std::array::from_fn(|i| (i * 37) as u8);
+    let new: [u8; 64] = std::array::from_fn(|i| (i * 91 + 13) as u8);
+    let flips = [false; 64];
     h.bench("fnw_encode_64B", || {
         codec.encode(black_box(&old), black_box(&flips), black_box(&new))
     });
@@ -184,9 +186,54 @@ fn bench_write_planning(h: &mut Harness) {
     }
 }
 
+/// 1k `mcf_m` write-backs, Flip-N-Write encoded up front, with their rows
+/// and column offsets: the planner's real input (mostly untouched slices,
+/// 1–3-bit RESETs), which one constant mask on every slice cannot show once
+/// a plan memoises its prices per (bit, concurrent RESETs).
+fn mcf_writes() -> Vec<(usize, usize, FnwWrite)> {
+    let mapper = AddressMapper::paper_baseline();
+    let codec = FnwCodec::paper();
+    let mut gen = TraceGenerator::new(BenchProfile::by_name("mcf_m").expect("Table IV"), 1);
+    let mut writes = Vec::with_capacity(1000);
+    while writes.len() < 1000 {
+        if let AccessKind::Write { line, old, new, .. } = gen.next_access().kind {
+            let addr = mapper.decompose(line);
+            let w = codec.encode(&old, &[false; 64], &new);
+            writes.push((addr.mat_row, addr.col_offset, w));
+        }
+    }
+    writes
+}
+
+fn bench_trace_planning(h: &mut Harness) {
+    let writes = mcf_writes();
+    for scheme in [
+        Scheme::Baseline,
+        Scheme::Hard,
+        Scheme::Drvr,
+        Scheme::DrvrPr,
+        Scheme::UdrvrPr,
+        Scheme::Udrvr394,
+    ] {
+        let wm = WriteModel::paper(scheme);
+        h.bench(&format!("plan_mcf_1k_{}", scheme.label()), || {
+            let mut ns = 0.0;
+            for (row, off, w) in black_box(&writes) {
+                let plan =
+                    wm.plan_line_write_with_data(*row, *off, &w.resets, &w.sets, Some(&w.stored));
+                ns += plan.reset_phase_ns;
+            }
+            ns
+        });
+    }
+    let mut gen = TraceGenerator::new(BenchProfile::by_name("mcf_m").expect("Table IV"), 11);
+    h.bench("trace_next_access_mcf_m", || gen.next_access());
+}
+
 fn bench_controller(h: &mut Harness) {
     h.bench("controller_1k_requests", || {
         let mut mc = MemoryController::new(MemoryConfig::paper_baseline());
+        let mut done = Vec::new();
         let mut t = 0.0;
         for k in 0..1000u64 {
             t += 37.0;
@@ -198,15 +245,16 @@ fn bench_controller(h: &mut Harness) {
             };
             if k % 3 == 0 {
                 while !mc.submit_write(req) {
-                    let _ = mc.advance(t + 10_000.0);
+                    mc.advance(t + 10_000.0, &mut done);
                 }
             } else {
                 while !mc.submit_read(req) {
-                    let _ = mc.advance(t + 10_000.0);
+                    mc.advance(t + 10_000.0, &mut done);
                 }
             }
         }
-        mc.advance(1e12).len()
+        mc.advance(1e12, &mut done);
+        done.len()
     });
 }
 
@@ -386,6 +434,7 @@ fn main() {
     bench_fnw(&mut h);
     bench_wear_leveling(&mut h);
     bench_write_planning(&mut h);
+    bench_trace_planning(&mut h);
     bench_controller(&mut h);
     bench_par_map_overhead(&mut h);
     bench_wal_append(&mut h);

@@ -10,7 +10,10 @@
 use crate::pr::partition_reset;
 use crate::{Drvr, Scheme, Udrvr};
 use reram_array::{ArrayModel, Spread, WriteOutcome};
-use reram_obs::Obs;
+use reram_obs::{Counter, Hist, Obs};
+
+/// Bits per array slice: the transition masks a plan takes are bytes.
+const SLICE_BITS: usize = 8;
 
 /// SET-phase electrical parameters (Table III): 3 V, 98.6 µA, 29.8 pJ per
 /// bit — which imply a ≈100 ns SET pulse.
@@ -86,6 +89,36 @@ impl WritePlan {
     }
 }
 
+/// The `core.pr.*` telemetry handles, resolved once per attachment so a
+/// plan never looks a name up. Every handle is a no-op on a detached
+/// registry.
+#[derive(Debug, Clone, Default)]
+struct PrMetrics {
+    concurrent_resets: Hist,
+    dummy_pairs: Counter,
+    dummy_resets: Counter,
+    dummy_sets: Counter,
+}
+
+impl PrMetrics {
+    fn resolve(obs: &Obs) -> Self {
+        Self {
+            concurrent_resets: obs.hist("core.pr.concurrent_resets"),
+            dummy_pairs: obs.counter("core.pr.dummy_pairs"),
+            dummy_resets: obs.counter("core.pr.dummy_resets"),
+            dummy_sets: obs.counter("core.pr.dummy_sets"),
+        }
+    }
+}
+
+/// Telemetry never decides equality: two models differing only in their
+/// registry compare equal.
+impl PartialEq for PrMetrics {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
 /// A [`Scheme`] bound to an [`ArrayModel`], ready to plan writes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WriteModel {
@@ -96,7 +129,11 @@ pub struct WriteModel {
     udrvr: Option<Udrvr>,
     bl_drop: Vec<f64>,
     wl_drop_1bit: Vec<f64>,
-    obs: Obs,
+    /// The drop model's window: the MAT size, or the oracle's `m`.
+    window: usize,
+    /// How a plan's concurrent RESETs spread over the word-line.
+    plan_spread: Spread,
+    metrics: PrMetrics,
 }
 
 impl WriteModel {
@@ -131,6 +168,13 @@ impl WriteModel {
             }
             _ => (None, None),
         };
+        // PR spreads its RESETs evenly by construction and D-BL fires every
+        // column multiplexer; elsewhere the data put the bits anywhere.
+        let plan_spread = if scheme.uses_pr() || model.design().dummy_bl {
+            Spread::Even
+        } else {
+            Spread::Random
+        };
         let dm = model.drop_model();
         let n = model.geometry().size();
         let bl_drop = (0..n).map(|i| dm.bl_drop(i)).collect();
@@ -143,7 +187,9 @@ impl WriteModel {
             udrvr,
             bl_drop,
             wl_drop_1bit,
-            obs: Obs::off(),
+            window: dm.window(),
+            plan_spread,
+            metrics: PrMetrics::default(),
         }
     }
 
@@ -153,7 +199,7 @@ impl WriteModel {
     /// still compare equal per this type's `PartialEq`.
     #[must_use]
     pub fn with_obs(mut self, obs: &Obs) -> Self {
-        self.obs = obs.clone();
+        self.metrics = PrMetrics::resolve(obs);
         self
     }
 
@@ -207,7 +253,7 @@ impl WriteModel {
     ) -> f64 {
         let geom = self.model.geometry();
         let j = geom.group_start(b) + col_offset;
-        let w = self.model.drop_model().window();
+        let w = self.window;
         let factor = self
             .model
             .partition()
@@ -265,43 +311,36 @@ impl WriteModel {
             "column offset out of bounds"
         );
         let data_width = geom.data_width();
-        let kin = self.model.kinetics();
+        assert!(data_width <= SLICE_BITS, "a slice holds at most 8 bits");
+        // The data-path bits of a slice mask.
+        let lanes = (u16::MAX >> (16 - data_width)) as u8;
+        let uses_pr = self.scheme.uses_pr();
+        let design = self.model.design();
+        let mut memo = ResetMemo::new(self, row, col_offset);
+        let m = &self.metrics;
+        // Slices per concurrent-RESET count, recorded once per plan.
+        let mut concurrency = [0u64; SLICE_BITS + 1];
 
         let mut plan = WritePlan::default();
-        // Resolved once per plan, only when telemetry is on, so the hot
-        // per-slice loop stays lookup-free.
-        let concurrent_hist = if self.obs.enabled() {
-            Some(self.obs.hist("core.pr.concurrent_resets"))
-        } else {
-            None
-        };
-        for (s, (&r_mask, &s_mask)) in resets.iter().zip(sets).enumerate() {
+        for s in touched_slices(resets, sets) {
+            let (r_mask, s_mask) = (resets[s], sets[s]);
             // The scheme shapes the RESET vector: PR fills 2-bit groups with
             // in-data dummies; D-BL fires its spare BLs; everything else
             // resets exactly the changed bits wherever the data put them.
-            let (reset_bits, set_bits, pr_dummy_r, pr_dummy_s, dbl_dummies, spread) =
-                if self.scheme.uses_pr() {
-                    let fd = final_data.map_or(0xFF, |d| d[s]);
-                    let p = partition_reset(r_mask, s_mask, fd);
-                    (
-                        p.reset_bits,
-                        p.set_bits,
-                        p.dummy_resets.count_ones(),
-                        p.dummy_sets.count_ones(),
-                        0u32,
-                        Spread::Even,
-                    )
-                } else {
-                    let design = self.model.design();
-                    let dummies =
-                        design.dummy_resets(r_mask.count_ones() as usize, data_width) as u32;
-                    let spread = if design.dummy_bl {
-                        Spread::Even
-                    } else {
-                        Spread::Random
-                    };
-                    (r_mask, s_mask, 0, 0, dummies, spread)
-                };
+            let (reset_bits, set_bits, pr_dummy_r, pr_dummy_s, dbl_dummies) = if uses_pr {
+                let fd = final_data.map_or(0xFF, |d| d[s]);
+                let p = partition_reset(r_mask, s_mask, fd);
+                (
+                    p.reset_bits,
+                    p.set_bits,
+                    p.dummy_resets.count_ones(),
+                    p.dummy_sets.count_ones(),
+                    0u32,
+                )
+            } else {
+                let dummies = design.dummy_resets(r_mask.count_ones() as usize, data_width) as u32;
+                (r_mask, s_mask, 0, 0, dummies)
+            };
             // Iterative write-verify: the RESET phase pulses all remaining
             // bits together; bits whose effective voltage clears the failure
             // threshold switch, the rest are retried in the next round —
@@ -317,16 +356,16 @@ impl WriteModel {
                 let n_concurrent = remaining.count_ones() as usize + extra;
                 let mut round_ns = 0.0f64;
                 let mut completed = 0u8;
-                for b in 0..data_width {
-                    if remaining & (1 << b) == 0 {
-                        continue;
-                    }
-                    let veff = self.effective_volts(row, b, col_offset, n_concurrent, spread);
-                    if let WriteOutcome::Completes { latency_ns } = kin.outcome(veff) {
+                // Set bits in ascending order, so the energy sum keeps its
+                // per-bit order.
+                let mut pending = remaining & lanes;
+                while pending != 0 {
+                    let b = pending.trailing_zeros() as usize;
+                    pending &= pending - 1;
+                    if let Some((latency_ns, energy_pj)) = memo.price(b, n_concurrent) {
                         completed |= 1 << b;
                         round_ns = round_ns.max(latency_ns);
-                        plan.reset_energy_pj +=
-                            self.applied_volts(row, b) * self.model.cell().i_on * latency_ns * 1e3;
+                        plan.reset_energy_pj += energy_pj;
                     }
                 }
                 if completed == 0 {
@@ -338,21 +377,13 @@ impl WriteModel {
                     // Every bit failed together: serialize the nearest bit
                     // alone this round.
                     let b = remaining.trailing_zeros() as usize;
-                    let veff = self.effective_volts(row, b, col_offset, 1, spread);
-                    match kin.outcome(veff) {
-                        WriteOutcome::Completes { latency_ns } => {
-                            completed = 1 << b;
-                            round_ns = latency_ns;
-                            plan.reset_energy_pj += self.applied_volts(row, b)
-                                * self.model.cell().i_on
-                                * latency_ns
-                                * 1e3;
-                        }
-                        WriteOutcome::Fails { .. } => {
-                            plan.failed = true;
-                            break;
-                        }
-                    }
+                    let Some((latency_ns, energy_pj)) = memo.price(b, 1) else {
+                        plan.failed = true;
+                        break;
+                    };
+                    completed = 1 << b;
+                    round_ns = latency_ns;
+                    plan.reset_energy_pj += energy_pj;
                 }
                 slice_slowest_ns += round_ns;
                 remaining &= !completed;
@@ -370,28 +401,23 @@ impl WriteModel {
             plan.sets += set_bits.count_ones();
             plan.dummy_resets += pr_dummy_r + dbl_dummies;
             plan.dummy_sets += pr_dummy_s;
-            if let Some(h) = &concurrent_hist {
-                if reset_bits != 0 {
-                    h.record(f64::from(reset_bits.count_ones() + dbl_dummies));
-                }
+            if reset_bits != 0 {
+                concurrency[(reset_bits.count_ones() + dbl_dummies) as usize] += 1;
             }
         }
         if plan.sets > 0 {
             plan.set_phase_ns = self.set_params.latency_ns;
             plan.set_energy_pj = f64::from(plan.sets) * self.set_params.energy_pj();
         }
-        if self.obs.enabled() {
-            // A dummy pair is a dummy RESET matched by its compensating SET.
-            self.obs
-                .counter("core.pr.dummy_pairs")
-                .add(u64::from(plan.dummy_sets));
-            self.obs
-                .counter("core.pr.dummy_resets")
-                .add(u64::from(plan.dummy_resets));
-            self.obs
-                .counter("core.pr.dummy_sets")
-                .add(u64::from(plan.dummy_sets));
-        }
+        m.concurrent_resets.record_counts(
+            (1..=SLICE_BITS)
+                .filter(|&c| concurrency[c] > 0)
+                .map(|c| (c as f64, concurrency[c])),
+        );
+        // A dummy pair is a dummy RESET matched by its compensating SET.
+        m.dummy_pairs.add(u64::from(plan.dummy_sets));
+        m.dummy_resets.add(u64::from(plan.dummy_resets));
+        m.dummy_sets.add(u64::from(plan.dummy_sets));
         plan
     }
 
@@ -472,6 +498,87 @@ impl WriteModel {
             }
         }
         Some(self.model.endurance().writes(best_latency))
+    }
+}
+
+/// The slices a write touches (`resets[s] | sets[s] != 0`), ascending.
+///
+/// An untouched slice drives nothing under any scheme (PR adds dummies
+/// only next to a real RESET, D-BL only when something resets), so a plan
+/// skipping it adds no float and leaves every max unchanged. The mask of
+/// 64 slices is built without branches and walked by its set bits, which
+/// keeps the touched-or-not coin flip of every slice off the branch
+/// predictor.
+fn touched_slices<'a>(resets: &'a [u8], sets: &'a [u8]) -> impl Iterator<Item = usize> + 'a {
+    let words = resets.chunks(64).zip(sets.chunks(64)).map(|(r, s)| {
+        r.iter()
+            .zip(s)
+            .enumerate()
+            .fold(0u64, |m, (k, (&r, &s))| m | u64::from(r | s != 0) << k)
+    });
+    words.enumerate().flat_map(|(w, mut mask)| {
+        std::iter::from_fn(move || {
+            let k = mask.trailing_zeros() as usize;
+            (mask != 0).then(|| {
+                mask &= mask - 1;
+                w * 64 + k
+            })
+        })
+    })
+}
+
+/// The RESET prices of one plan, memoised per (data bit, concurrent
+/// RESETs).
+///
+/// Row, column offset and spread are fixed for a plan, so a key always
+/// prices the same expression: a hit returns the bits a recomputation
+/// would, and a plan evaluates Eq. 1 at most `8 × 8` times however many
+/// slices repeat a pattern. The energy term is memoised whole; the plan
+/// still adds it once per bit, in the order it always did.
+struct ResetMemo<'a> {
+    wm: &'a WriteModel,
+    row: usize,
+    col_offset: usize,
+    /// Bit `(n − 1) · 8 + b` is set once key `(b, n)` is priced…
+    known: u64,
+    /// …and here when that pulse falls below the failure threshold.
+    fails: u64,
+    latency_ns: [f64; SLICE_BITS * SLICE_BITS],
+    energy_pj: [f64; SLICE_BITS * SLICE_BITS],
+}
+
+impl<'a> ResetMemo<'a> {
+    fn new(wm: &'a WriteModel, row: usize, col_offset: usize) -> Self {
+        Self {
+            wm,
+            row,
+            col_offset,
+            known: 0,
+            fails: 0,
+            latency_ns: [0.0; SLICE_BITS * SLICE_BITS],
+            energy_pj: [0.0; SLICE_BITS * SLICE_BITS],
+        }
+    }
+
+    /// Data bit `b`'s RESET among `n` concurrent ones (`1 ≤ n ≤ 8`):
+    /// `(latency_ns, energy_pj)`, or `None` if it cannot complete.
+    fn price(&mut self, b: usize, n: usize) -> Option<(f64, f64)> {
+        debug_assert!((1..=SLICE_BITS).contains(&n), "{n} concurrent RESETs");
+        let k = (n - 1) * SLICE_BITS + b;
+        if self.known & (1 << k) == 0 {
+            self.known |= 1 << k;
+            let wm = self.wm;
+            let veff = wm.effective_volts(self.row, b, self.col_offset, n, wm.plan_spread);
+            match wm.model.kinetics().outcome(veff) {
+                WriteOutcome::Completes { latency_ns } => {
+                    self.latency_ns[k] = latency_ns;
+                    self.energy_pj[k] =
+                        wm.applied_volts(self.row, b) * wm.model.cell().i_on * latency_ns * 1e3;
+                }
+                WriteOutcome::Fails { .. } => self.fails |= 1 << k,
+            }
+        }
+        (self.fails & (1 << k) == 0).then(|| (self.latency_ns[k], self.energy_pj[k]))
     }
 }
 
@@ -570,6 +677,18 @@ mod tests {
         let near = m.plan_line_write(0, 0, &r, &s);
         let far = m.plan_line_write(511, 63, &r, &s);
         assert!(near.reset_phase_ns < far.reset_phase_ns / 5.0);
+    }
+
+    #[test]
+    fn telemetry_does_not_decide_equality() {
+        let obs = Obs::new();
+        let traced = WriteModel::paper(Scheme::UdrvrPr).with_obs(&obs);
+        assert_eq!(traced, WriteModel::paper(Scheme::UdrvrPr));
+        let (r, s) = far_write();
+        let plan = traced.plan_line_write_with_data(511, 63, &r, &s, Some(&[0xFFu8; 64]));
+        assert_eq!(plan.dummy_resets, 64 * 3);
+        assert_eq!(obs.counter("core.pr.dummy_resets").get(), 64 * 3);
+        assert_eq!(obs.hist("core.pr.concurrent_resets").snapshot().count(), 64);
     }
 
     #[test]

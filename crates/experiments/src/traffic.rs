@@ -5,7 +5,7 @@ use crate::table::fnum;
 use crate::ExpTable;
 use reram_core::{Scheme, WriteModel};
 use reram_mem::{AddressMapper, FnwCodec};
-use reram_workloads::{AccessKind, BenchProfile, TraceGenerator};
+use reram_workloads::{BenchProfile, LineWrite, TraceGenerator};
 
 /// Writes sampled per benchmark for the distribution experiments.
 const WRITE_SAMPLES: usize = 4_000;
@@ -23,11 +23,13 @@ pub fn table4() -> ExpTable {
         let mut reads = 0u64;
         let mut writes = 0u64;
         let mut instructions = 0u64;
-        for a in TraceGenerator::new(p, 11).take(20_000) {
+        let mut gen = TraceGenerator::new(p, 11);
+        for _ in 0..20_000 {
+            let a = gen.next_inline();
             instructions += a.icount_gap;
-            match a.kind {
-                AccessKind::Read { .. } => reads += 1,
-                AccessKind::Write { .. } => writes += 1,
+            match a.write {
+                None => reads += 1,
+                Some(_) => writes += 1,
             }
         }
         let ki = instructions as f64 / 1000.0;
@@ -56,11 +58,12 @@ pub fn fig9() -> ExpTable {
     for p in BenchProfile::table_iv() {
         let mut hist = [0u64; 9];
         let mut arrays = 0u64;
-        for a in TraceGenerator::new(p, 23).take(WRITE_SAMPLES * 3) {
-            let AccessKind::Write { old, new, .. } = a.kind else {
+        let mut gen = TraceGenerator::new(p, 23);
+        for _ in 0..WRITE_SAMPLES * 3 {
+            let Some(LineWrite { old, new, .. }) = gen.next_inline().write else {
                 continue;
             };
-            let w = fnw.encode(&old[..], &[false; 64], &new[..]);
+            let w = fnw.encode(&old, &[false; 64], &new);
             for r in &w.resets {
                 hist[r.count_ones() as usize] += 1;
                 arrays += 1;
@@ -104,13 +107,15 @@ pub fn fig14() -> ExpTable {
     for p in BenchProfile::table_iv() {
         let mut acc = [[0u64; 3]; 3]; // [scheme][resets, sets, cells]
         let mut writes = 0u64;
-        for a in TraceGenerator::new(p, 31).take(WRITE_SAMPLES * 3) {
-            let AccessKind::Write { line, old, new, .. } = a.kind else {
+        let mut gen = TraceGenerator::new(p, 31);
+        for _ in 0..WRITE_SAMPLES * 3 {
+            let a = gen.next_inline();
+            let Some(LineWrite { old, new, .. }) = a.write else {
                 continue;
             };
             writes += 1;
-            let addr = mapper.decompose(line);
-            let w = fnw.encode(&old[..], &[false; 64], &new[..]);
+            let addr = mapper.decompose(a.line);
+            let w = fnw.encode(&old, &[false; 64], &new);
             for (k, model) in [&base, &pr, &dbl].into_iter().enumerate() {
                 let plan = model.plan_line_write_with_data(
                     addr.mat_row,

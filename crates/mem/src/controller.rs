@@ -311,11 +311,11 @@ impl MemoryController {
         }
     }
 
-    /// Issues every operation that can start at or before `now`, returning
-    /// completions (reads complete when their data returns; writes when they
-    /// retire at the bank).
-    pub fn advance(&mut self, now: f64) -> Vec<Completion> {
-        let mut done = Vec::new();
+    /// Issues every operation that can start at or before `now`, appending
+    /// its completions to `done` (reads complete when their data returns;
+    /// writes when they retire at the bank). An event loop passes one
+    /// buffer it clears between calls, so issuing never allocates.
+    pub fn advance(&mut self, now: f64, done: &mut Vec<Completion>) {
         loop {
             let serve_writes = self.in_burst || self.read_q.is_empty();
             let q = if serve_writes {
@@ -390,7 +390,6 @@ impl MemoryController {
                 });
             }
         }
-        done
     }
 }
 
@@ -416,12 +415,18 @@ mod tests {
         }
     }
 
+    fn advance(mc: &mut MemoryController, now: f64) -> Vec<Completion> {
+        let mut done = Vec::new();
+        mc.advance(now, &mut done);
+        done
+    }
+
     #[test]
     fn unloaded_read_latency_is_command_plus_service_plus_burst() {
         let cfg = MemoryConfig::paper_baseline();
         let mut mc = MemoryController::new(cfg);
         assert!(mc.submit_read(read(1, 0, 0.0)));
-        let done = mc.advance(1000.0);
+        let done = advance(&mut mc, 1000.0);
         assert_eq!(done.len(), 1);
         let expect = cfg.mc_to_bank_ns() + cfg.read_service_ns() + cfg.burst_ns();
         assert!(
@@ -436,7 +441,7 @@ mod tests {
         let mut mc = MemoryController::new(MemoryConfig::paper_baseline());
         assert!(mc.submit_write(write(1, 0, 0.0, 2000.0)));
         assert!(mc.submit_read(read(2, 0, 0.0)));
-        let done = mc.advance(10_000.0);
+        let done = advance(&mut mc, 10_000.0);
         // The read must issue first even though the write arrived first.
         let read_done = done.iter().find(|c| !c.is_write).unwrap();
         let write_done = done.iter().find(|c| c.is_write).unwrap();
@@ -450,7 +455,7 @@ mod tests {
         let mut mc = MemoryController::new(cfg);
         assert!(mc.submit_read(read(1, 3, 0.0)));
         assert!(mc.submit_read(read(2, 3, 0.0)));
-        let done = mc.advance(1000.0);
+        let done = advance(&mut mc, 1000.0);
         let d1 = done.iter().find(|c| c.id == 1).unwrap().done_ns;
         let d2 = done.iter().find(|c| c.id == 2).unwrap().done_ns;
         assert!((d2 - d1 - cfg.read_service_ns()).abs() < 1e-9);
@@ -462,7 +467,7 @@ mod tests {
         let mut mc = MemoryController::new(cfg);
         assert!(mc.submit_read(read(1, 0, 0.0)));
         assert!(mc.submit_read(read(2, 1, 0.0)));
-        let done = mc.advance(1000.0);
+        let done = advance(&mut mc, 1000.0);
         assert!((done[0].done_ns - done[1].done_ns).abs() < 1e-9);
     }
 
@@ -476,7 +481,7 @@ mod tests {
         }
         assert!(mc.write_queue_full());
         assert!(mc.submit_read(read(999, 0, 0.0)));
-        let done = mc.advance(100_000.0);
+        let done = advance(&mut mc, 100_000.0);
         assert_eq!(mc.stats().write_bursts, 1);
         let read_done = done.iter().find(|c| c.id == 999).unwrap();
         // Reads were delayed until the write queue drained: the bank-0 write
@@ -494,7 +499,7 @@ mod tests {
     fn writes_flow_when_no_reads_pending() {
         let mut mc = MemoryController::new(MemoryConfig::paper_baseline());
         assert!(mc.submit_write(write(1, 0, 0.0, 300.0)));
-        let done = mc.advance(10_000.0);
+        let done = advance(&mut mc, 10_000.0);
         assert_eq!(done.len(), 1);
         assert!(done[0].is_write);
         assert!(done[0].queued_ns < 1e-9);
@@ -538,7 +543,7 @@ mod tests {
         assert!(w.to_string().contains("write queue full"));
         // Draining the queues clears the rejection condition but not the
         // counts.
-        let _ = mc.advance(1e9);
+        let _ = advance(&mut mc, 1e9);
         assert!(mc.try_submit_read(read(9003, 0, 1e9)).is_ok());
         assert_eq!(mc.stats().read_rejections, 1);
     }
@@ -550,7 +555,7 @@ mod tests {
         assert_eq!(mc.next_issue_ns(), None);
         assert!(mc.submit_read(read(1, 0, 50.0)));
         assert_eq!(mc.next_issue_ns(), Some(50.0));
-        let _ = mc.advance(50.0);
+        let _ = advance(&mut mc, 50.0);
         assert!(mc.submit_read(read(2, 0, 50.0)));
         // Bank 0 is now busy until the first read finishes its service.
         let t = mc.next_issue_ns().unwrap();
@@ -563,7 +568,7 @@ mod tests {
         for k in 0..4 {
             assert!(mc.submit_read(read(k, k as usize, 0.0)));
         }
-        let _ = mc.advance(1e6);
+        let _ = advance(&mut mc, 1e6);
         let st = mc.stats();
         assert_eq!(st.reads, 4);
         assert!(st.mean_read_latency_ns() > 0.0);
@@ -583,7 +588,7 @@ mod tests {
             arrival_ns: 0.0,
             service_ns: 100.0,
         }));
-        let _ = mc.advance(1e6);
+        let _ = advance(&mut mc, 1e6);
         let st = mc.stats();
         assert_eq!(st.reads, 0);
         assert_eq!(st.mean_read_latency_ns(), 0.0);

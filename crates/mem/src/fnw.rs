@@ -7,21 +7,22 @@
 //! transitions — exactly the charge pump's concurrent-RESET budget
 //! (Table III).
 
-/// The outcome of encoding one line write.
+/// The outcome of encoding one write of `N` 8-bit slices (a 64 B line by
+/// default).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FnwWrite {
+pub struct FnwWrite<const N: usize = 64> {
     /// The cell states to store, per 8-bit slice (already inverted where the
     /// flip bit is set).
-    pub stored: Vec<u8>,
+    pub stored: [u8; N],
     /// The new flip bit per slice.
-    pub flips: Vec<bool>,
+    pub flips: [bool; N],
     /// Cells transitioning LRS→HRS (`1→0`), per slice.
-    pub resets: Vec<u8>,
+    pub resets: [u8; N],
     /// Cells transitioning HRS→LRS (`0→1`), per slice.
-    pub sets: Vec<u8>,
+    pub sets: [u8; N],
 }
 
-impl FnwWrite {
+impl<const N: usize> FnwWrite<N> {
     /// Total number of cells written.
     #[must_use]
     pub fn cells_written(&self) -> u32 {
@@ -68,67 +69,59 @@ impl FnwCodec {
     /// chooses per-word flips minimizing cell transitions and returns the
     /// transition masks.
     ///
-    /// # Panics
-    ///
-    /// Panics if the slices disagree in length.
+    /// The slice count `N` is part of the type, so the result lives inline
+    /// (a 64 B line's write is four 64-entry arrays, no heap); a trailing
+    /// partial word is decided on its own slices. On a tie the word keeps
+    /// the flip bit of its first slice.
     #[must_use]
-    pub fn encode(&self, old_stored: &[u8], old_flips: &[bool], new_logical: &[u8]) -> FnwWrite {
-        assert_eq!(old_stored.len(), new_logical.len(), "length mismatch");
-        assert_eq!(old_stored.len(), old_flips.len(), "length mismatch");
-        let n = old_stored.len();
+    pub fn encode<const N: usize>(
+        &self,
+        old_stored: &[u8; N],
+        old_flips: &[bool; N],
+        new_logical: &[u8; N],
+    ) -> FnwWrite<N> {
         let mut w = FnwWrite {
-            stored: Vec::with_capacity(n),
-            flips: Vec::with_capacity(n),
-            resets: Vec::with_capacity(n),
-            sets: Vec::with_capacity(n),
+            stored: [0; N],
+            flips: [false; N],
+            resets: [0; N],
+            sets: [0; N],
         };
-        for word in old_stored.chunks(self.word_slices).zip(
-            new_logical
-                .chunks(self.word_slices)
-                .zip(old_flips.chunks(self.word_slices)),
-        ) {
-            let (old_w, (new_w, flips_w)) = word;
-            let d_plain: u32 = old_w
+        let mut start = 0;
+        while start < N {
+            let end = (start + self.word_slices).min(N);
+            let word = start..end;
+            let d_plain: u32 = old_stored[word.clone()]
                 .iter()
-                .zip(new_w)
+                .zip(&new_logical[word.clone()])
                 .map(|(&o, &p)| (o ^ p).count_ones())
                 .sum();
-            let d_flip: u32 = old_w
-                .iter()
-                .zip(new_w)
-                .map(|(&o, &p)| (o ^ !p).count_ones())
-                .sum();
+            // Every cell the plain form leaves alone, the inverted form
+            // changes, and vice versa.
+            let d_flip = 8 * (end - start) as u32 - d_plain;
             // Prefer the representation changing fewer cells; on a tie keep
             // the old flip bit (no metadata churn).
             let use_flip = match d_flip.cmp(&d_plain) {
                 std::cmp::Ordering::Less => true,
                 std::cmp::Ordering::Greater => false,
-                std::cmp::Ordering::Equal => flips_w[0],
+                std::cmp::Ordering::Equal => old_flips[start],
             };
-            for (&o, &p) in old_w.iter().zip(new_w) {
+            for s in word {
+                let (o, p) = (old_stored[s], new_logical[s]);
                 let target = if use_flip { !p } else { p };
-                w.resets.push(o & !target);
-                w.sets.push(target & !o);
-                w.stored.push(target);
-                w.flips.push(use_flip);
+                w.resets[s] = o & !target;
+                w.sets[s] = target & !o;
+                w.stored[s] = target;
+                w.flips[s] = use_flip;
             }
+            start = end;
         }
         w
     }
 
     /// Recovers the logical data from stored cells and flip bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices disagree in length.
     #[must_use]
-    pub fn decode(&self, stored: &[u8], flips: &[bool]) -> Vec<u8> {
-        assert_eq!(stored.len(), flips.len(), "length mismatch");
-        stored
-            .iter()
-            .zip(flips)
-            .map(|(&b, &f)| if f { !b } else { b })
-            .collect()
+    pub fn decode<const N: usize>(&self, stored: &[u8; N], flips: &[bool; N]) -> [u8; N] {
+        std::array::from_fn(|s| if flips[s] { !stored[s] } else { stored[s] })
     }
 }
 
@@ -150,9 +143,8 @@ mod tests {
     #[test]
     fn unchanged_data_writes_nothing() {
         let codec = FnwCodec::paper();
-        let old = vec![0xA5u8; 64];
-        let flips = vec![false; 64];
-        let w = codec.encode(&old, &flips, &old);
+        let old = [0xA5u8; 64];
+        let w = codec.encode(&old, &[false; 64], &old);
         assert_eq!(w.cells_written(), 0);
         assert_eq!(w.stored, old);
     }
@@ -202,12 +194,9 @@ mod tests {
             let mut new = [0u8; 64];
             rng.fill_bytes(&mut old);
             rng.fill_bytes(&mut new);
-            let old_flips: Vec<bool> = (0..64).map(|_| rng.gen_bool(0.5)).collect();
-            let old_stored: Vec<u8> = old
-                .iter()
-                .zip(&old_flips)
-                .map(|(&b, &f)| if f { !b } else { b })
-                .collect();
+            let old_flips: [bool; 64] = std::array::from_fn(|_| rng.gen_bool(0.5));
+            let old_stored: [u8; 64] =
+                std::array::from_fn(|s| if old_flips[s] { !old[s] } else { old[s] });
             let w = codec.encode(&old_stored, &old_flips, &new);
             assert_eq!(codec.decode(&w.stored, &w.flips), new);
         }
@@ -224,7 +213,8 @@ mod tests {
             let mut new = [0u8; 64];
             rng.fill_bytes(&mut old_stored);
             rng.fill_bytes(&mut new);
-            let old_flips: Vec<bool> = (0..16).flat_map(|_| [rng.gen_bool(0.5); 4]).collect();
+            let word_flips: [bool; 16] = std::array::from_fn(|_| rng.gen_bool(0.5));
+            let old_flips: [bool; 64] = std::array::from_fn(|s| word_flips[s / 4]);
             let w = FnwCodec::paper().encode(&old_stored, &old_flips, &new);
             for word in 0..16 {
                 let changed: u32 = (0..4)
@@ -248,13 +238,98 @@ mod tests {
             let mut new = [0u8; 16];
             rng.fill_bytes(&mut old_stored);
             rng.fill_bytes(&mut new);
-            let flips = vec![false; 16];
-            let w = FnwCodec::paper().encode(&old_stored, &flips, &new);
+            let w = FnwCodec::paper().encode(&old_stored, &[false; 16], &new);
             #[allow(clippy::needless_range_loop)] // indexes several parallel arrays
             for s in 0..16 {
                 assert_eq!(w.resets[s] & w.sets[s], 0);
                 assert_eq!((old_stored[s] & !w.resets[s]) | w.sets[s], w.stored[s]);
             }
+        }
+    }
+
+    /// The slice encoder the fixed-size one replaced, kept verbatim as the
+    /// reference it must match bit for bit.
+    fn encode_slices(
+        word_slices: usize,
+        old_stored: &[u8],
+        old_flips: &[bool],
+        new_logical: &[u8],
+    ) -> (Vec<u8>, Vec<bool>, Vec<u8>, Vec<u8>) {
+        let (mut stored, mut flips, mut resets, mut sets) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        for word in old_stored.chunks(word_slices).zip(
+            new_logical
+                .chunks(word_slices)
+                .zip(old_flips.chunks(word_slices)),
+        ) {
+            let (old_w, (new_w, flips_w)) = word;
+            let d_plain: u32 = old_w
+                .iter()
+                .zip(new_w)
+                .map(|(&o, &p)| (o ^ p).count_ones())
+                .sum();
+            let d_flip: u32 = old_w
+                .iter()
+                .zip(new_w)
+                .map(|(&o, &p)| (o ^ !p).count_ones())
+                .sum();
+            let use_flip = match d_flip.cmp(&d_plain) {
+                std::cmp::Ordering::Less => true,
+                std::cmp::Ordering::Greater => false,
+                std::cmp::Ordering::Equal => flips_w[0],
+            };
+            for (&o, &p) in old_w.iter().zip(new_w) {
+                let target = if use_flip { !p } else { p };
+                resets.push(o & !target);
+                sets.push(target & !o);
+                stored.push(target);
+                flips.push(use_flip);
+            }
+        }
+        (stored, flips, resets, sets)
+    }
+
+    fn assert_matches_slice_encoder<const N: usize>(
+        word_slices: usize,
+        old: &[u8; N],
+        flips: &[bool; N],
+        new: &[u8; N],
+    ) {
+        let w = FnwCodec::new(word_slices).encode(old, flips, new);
+        let (stored, fl, resets, sets) = encode_slices(word_slices, old, flips, new);
+        assert_eq!(w.stored.to_vec(), stored);
+        assert_eq!(w.flips.to_vec(), fl);
+        assert_eq!(w.resets.to_vec(), resets);
+        assert_eq!(w.sets.to_vec(), sets);
+    }
+
+    /// The fixed-size encoder equals the slice encoder on random lines,
+    /// partial trailing words and forced flip ties (exactly half of each
+    /// word changing, under either old flip bit).
+    #[test]
+    fn matches_the_slice_encoder() {
+        let mut rng = Rng64::new(0xF4);
+        for case in 0..cases() {
+            let mut old = [0u8; 64];
+            let mut new = [0u8; 64];
+            rng.fill_bytes(&mut old);
+            rng.fill_bytes(&mut new);
+            if case % 2 == 1 {
+                // A tie in every byte: four of its eight cells change.
+                for (n, o) in new.iter_mut().zip(&old) {
+                    *n = o ^ [0x0F, 0xF0, 0x33, 0xCC, 0x55, 0xAA][rng.gen_u64_below(6) as usize];
+                }
+            }
+            let flips: [bool; 64] = std::array::from_fn(|_| rng.gen_bool(0.5));
+            for word_slices in [1, 3, 4, 8, 64, 100] {
+                assert_matches_slice_encoder(word_slices, &old, &flips, &new);
+            }
+            let (o5, f5, n5): ([u8; 5], [bool; 5], [u8; 5]) = (
+                std::array::from_fn(|s| old[s]),
+                std::array::from_fn(|s| flips[s]),
+                std::array::from_fn(|s| new[s]),
+            );
+            assert_matches_slice_encoder(4, &o5, &f5, &n5);
         }
     }
 }

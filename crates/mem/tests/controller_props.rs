@@ -64,10 +64,10 @@ fn drive(arrivals: &[Arrival]) -> (Vec<reram_mem::Completion>, u64, u64) {
             // Queue full: wait for progress before retrying.
             let next = mc.next_issue_ns().unwrap_or(t) + 1.0;
             t = t.max(next);
-            done.extend(mc.advance(t));
+            mc.advance(t, &mut done);
         }
     }
-    done.extend(mc.advance(f64::INFINITY));
+    mc.advance(f64::INFINITY, &mut done);
     (done, reads, writes)
 }
 
@@ -121,6 +121,7 @@ fn bank_busy_accounting() {
         let mut mc = MemoryController::new(cfg);
         let mut t = 0.0;
         let mut accepted = 0u64;
+        let mut done = Vec::new();
         for (k, a) in arrivals.iter().enumerate() {
             t += a.gap_ns;
             let req = Request {
@@ -136,9 +137,9 @@ fn bank_busy_accounting() {
             } {
                 accepted += 1;
             }
-            let _ = mc.advance(t);
+            mc.advance(t, &mut done);
         }
-        let _ = mc.advance(f64::INFINITY);
+        mc.advance(f64::INFINITY, &mut done);
         let st = mc.stats();
         assert_eq!(st.reads + st.writes, accepted);
         assert!(st.bank_busy_ns >= accepted as f64 * cfg.t_cwd_ns.min(cfg.read_service_ns()));

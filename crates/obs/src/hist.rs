@@ -47,6 +47,16 @@ impl Histogram {
 
     /// Records one sample.
     pub fn record(&mut self, v: f64) {
+        self.record_n(v, 1);
+    }
+
+    /// Records `n` samples of `v`, leaving the histogram `n` calls of
+    /// [`Histogram::record`] would, bit for bit (the sum still adds `v`
+    /// once per sample), for one bucket lookup.
+    pub fn record_n(&mut self, v: f64, n: u64) {
+        if n == 0 {
+            return;
+        }
         if self.count == 0 {
             self.min = v;
             self.max = v;
@@ -54,14 +64,16 @@ impl Histogram {
             self.min = self.min.min(v);
             self.max = self.max.max(v);
         }
-        self.count += 1;
+        self.count += n;
         if v.is_finite() {
-            self.sum += v;
+            for _ in 0..n {
+                self.sum += v;
+            }
         }
         if v > 0.0 && v.is_finite() {
-            *self.buckets.entry(bucket_index(v)).or_insert(0) += 1;
+            *self.buckets.entry(bucket_index(v)).or_insert(0) += n;
         } else {
-            self.zero += 1;
+            self.zero += n;
         }
     }
 
@@ -207,6 +219,27 @@ mod tests {
         assert_eq!(h.quantile(0.5), 0.0);
         assert_eq!(h.min(), 0.0);
         assert_eq!(h.max(), 0.0);
+    }
+
+    #[test]
+    fn record_n_equals_repeated_records() {
+        for v in [0.1, 3.0, 1e-300, 0.0, -2.5, f64::INFINITY, f64::NAN] {
+            for n in [0, 1, 7] {
+                let mut one = Histogram::new();
+                let mut many = Histogram::new();
+                one.record(0.7);
+                many.record(0.7);
+                one.record_n(v, n);
+                for _ in 0..n {
+                    many.record(v);
+                }
+                assert_eq!(one.count(), many.count());
+                assert_eq!(one.sum().to_bits(), many.sum().to_bits(), "v = {v}");
+                assert_eq!(one.min().to_bits(), many.min().to_bits(), "v = {v}");
+                assert_eq!(one.max().to_bits(), many.max().to_bits(), "v = {v}");
+                assert_eq!((one.zero, &one.buckets), (many.zero, &many.buckets));
+            }
+        }
     }
 
     #[test]

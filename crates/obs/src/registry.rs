@@ -476,6 +476,17 @@ impl Hist {
         }
     }
 
+    /// Records each `(value, n)` pair as `n` samples under one lock: a hot
+    /// loop counts its samples locally and hands them over once.
+    pub fn record_counts(&self, samples: impl IntoIterator<Item = (f64, u64)>) {
+        if let Some(h) = &self.0 {
+            let mut h = h.lock().expect("histogram poisoned");
+            for (v, n) in samples {
+                h.record_n(v, n);
+            }
+        }
+    }
+
     /// Starts a wall-time span recording nanoseconds here on drop. A no-op
     /// handle's span never reads the clock.
     #[must_use]

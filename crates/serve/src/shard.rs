@@ -313,9 +313,9 @@ impl ShardBackend {
         // instant until both queues empty.
         let mut completions = Vec::with_capacity(admitted.len());
         while let Some(t) = self.ctrl.next_issue_ns() {
-            completions.extend(self.ctrl.advance(t));
+            self.ctrl.advance(t, &mut completions);
         }
-        completions.extend(self.ctrl.advance(f64::INFINITY));
+        self.ctrl.advance(f64::INFINITY, &mut completions);
 
         // Latency per admitted op, keyed by submission id.
         let mut latency = vec![0.0f64; admitted.len()];

@@ -11,7 +11,7 @@ use reram_mem::{
     Request, RowMapper, SecurityRefresh,
 };
 use reram_obs::{Counter, Obs, Value};
-use reram_workloads::{AccessKind, BenchProfile, TraceGenerator};
+use reram_workloads::{BenchProfile, LineWrite, TraceGenerator};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
@@ -497,7 +497,7 @@ impl Simulator {
         // ready to issue, or `None` when the core retires instead.
         let mut prepare = |cores: &mut Vec<Core>, c: usize| -> Option<f64> {
             let budget = self.cfg.instructions_per_core;
-            let acc = cores[c].gen.next_access();
+            let acc = cores[c].gen.next_inline();
             let remaining = budget - cores[c].retired;
             if acc.icount_gap >= remaining {
                 cores[c].retired = budget;
@@ -505,27 +505,22 @@ impl Simulator {
                 return Some(self.cfg.exec_ns(remaining)); // time to retirement
             }
             cores[c].retired += acc.icount_gap;
-            let prepared = match acc.kind {
-                AccessKind::Read { line } => {
+            let line = acc.line;
+            let prepared = match &acc.write {
+                None => {
                     let phys = remap.as_ref().map_or(line, |r| r.remap(line));
                     Prepared::Read {
                         bank: mapper.decompose(phys).flat_bank(&mem_cfg),
                     }
                 }
-                AccessKind::Write {
-                    line,
-                    heat,
-                    old,
-                    new,
-                } => {
+                Some(LineWrite { heat, old, new }) => {
                     if let Some(r) = remap.as_mut() {
                         r.on_write();
                     }
                     let phys = remap.as_ref().map_or(line, |r| r.remap(line));
                     let addr = mapper.decompose(phys);
-                    let row = row_mapper.row_for(addr.mat_row, heat, mapper.mat_size());
-                    let flips = [false; 64];
-                    let w = fnw.encode(&old[..], &flips, &new[..]);
+                    let row = row_mapper.row_for(addr.mat_row, *heat, mapper.mat_size());
+                    let w = fnw.encode(old, &[false; 64], new);
                     let plan = wm.plan_line_write_with_data(
                         row,
                         addr.col_offset,
@@ -602,11 +597,15 @@ impl Simulator {
 
         let read_id = |c: usize, n: u64| ((c as u64) << 48) | (n & 0xFFFF_FFFF_FFFF);
 
+        // Per-event buffers, cleared and reused from one event to the next.
+        let mut completions = Vec::new();
+        let mut to_try: Vec<usize> = Vec::new();
         while let Some(ev) = heap.pop() {
             let now = ev.time_ns;
             // Let the controller issue everything it can; deliver read
             // returns as future events and wake queue-blocked cores.
-            let completions = mc.advance(now);
+            completions.clear();
+            mc.advance(now, &mut completions);
             let queue_freed = !completions.is_empty();
             for comp in &completions {
                 if !comp.is_write {
@@ -641,7 +640,7 @@ impl Simulator {
                 }
             }
 
-            let mut to_try: Vec<usize> = Vec::new();
+            to_try.clear();
             match ev.kind {
                 EventKind::CoreReady(c) => to_try.push(c),
                 EventKind::ReadDone(c) => {
@@ -667,7 +666,7 @@ impl Simulator {
                 }
             }
 
-            for c in to_try {
+            for &c in &to_try {
                 // Issue the core's pending access, then run ahead to its
                 // next one; block (and stop) on any structural hazard.
                 'issue: {

@@ -24,5 +24,5 @@ pub mod rng;
 pub mod trace;
 
 pub use profile::BenchProfile;
-pub use rng::{Rng64, SplitMix64};
-pub use trace::{Access, AccessKind, TraceGenerator};
+pub use rng::{Chance, Rng64, SplitMix64};
+pub use trace::{Access, AccessKind, InlineAccess, LineWrite, TraceGenerator};

@@ -10,7 +10,8 @@
 //!
 //! The API mirrors the subset of `rand::Rng` this workspace used:
 //! [`Rng64::gen_bool`], [`Rng64::gen_range_f64`], [`Rng64::gen_range_u64`],
-//! [`Rng64::fill_bytes`].
+//! [`Rng64::fill_bytes`]. [`Chance`] hoists a fixed probability out of a
+//! hot loop without changing a single draw.
 
 /// SplitMix64: a tiny 64-bit generator used to expand seeds.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,6 +33,27 @@ impl SplitMix64 {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
+    }
+}
+
+/// A probability hoisted into the integer threshold [`Rng64::gen_chance`]
+/// compares against.
+///
+/// [`Rng64::next_f64`] is `m·2⁻⁵³` for the integer `m = next_u64() >> 11`,
+/// and both the conversion and the power-of-two scaling are exact, so
+/// `m·2⁻⁵³ < p` ⇔ `m < p·2⁵³` ⇔ `m < ⌈p·2⁵³⌉` (`m` is an integer, and
+/// `p·2⁵³` is exact too: scaling by a power of two only moves the
+/// exponent). The saturating float-to-integer cast handles the edges the
+/// same way the float compare does: `p ≤ 0` or NaN gives 0 (never true),
+/// `p ≥ 1` gives at least 2⁵³ (always true, since `m < 2⁵³`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Chance(u64);
+
+impl Chance {
+    /// The threshold `⌈p·2⁵³⌉` (saturated) standing for probability `p`.
+    #[must_use]
+    pub fn new(p: f64) -> Self {
+        Self((p * (1u64 << 53) as f64).ceil() as u64)
     }
 }
 
@@ -71,9 +93,18 @@ impl Rng64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// True with probability `p` (clamped to `[0, 1]`).
+    /// True with probability `p` (clamped to `[0, 1]`): exactly
+    /// `self.next_f64() < p`, decided on the integer side through
+    /// [`Chance::new`]. A loop drawing with one `p` many times should build
+    /// the [`Chance`] once and call [`Rng64::gen_chance`].
     pub fn gen_bool(&mut self, p: f64) -> bool {
-        self.next_f64() < p
+        self.gen_chance(Chance::new(p))
+    }
+
+    /// True with the probability `c` was built from; consumes one
+    /// `next_u64`, the same draw [`Rng64::gen_bool`] makes.
+    pub fn gen_chance(&mut self, c: Chance) -> bool {
+        self.next_u64() >> 11 < c.0
     }
 
     /// A uniform float in `[lo, hi)`.
@@ -185,6 +216,55 @@ mod tests {
         let hits = (0..20_000).filter(|_| r.gen_bool(0.3)).count();
         let frac = hits as f64 / 20_000.0;
         assert!((frac - 0.3).abs() < 0.02, "frac = {frac}");
+    }
+
+    /// The integer threshold decides exactly as the float compare it
+    /// replaces, at the edges and on ordinary draws.
+    #[test]
+    fn chance_matches_the_float_compare() {
+        let ulp_below_one = 1.0 - f64::EPSILON / 2.0;
+        let ps = [
+            0.0,
+            -0.0,
+            f64::from_bits(1), // smallest subnormal
+            f64::MIN_POSITIVE,
+            1.0 / (1u64 << 53) as f64,
+            0.3,
+            0.5,
+            ulp_below_one,
+            1.0,
+            1.5,
+            f64::INFINITY,
+            -0.25,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let mut seeds = Rng64::new(0xC4A1);
+        // Draws landing on and right next to each threshold.
+        let edge_draws = |p: f64| {
+            let t = Chance::new(p).0;
+            [
+                t.saturating_sub(1),
+                t,
+                t.saturating_add(1),
+                0,
+                (1 << 53) - 1,
+            ]
+            .map(|m: u64| m.min((1 << 53) - 1) << 11)
+        };
+        for p in ps {
+            let draws = (0..2_000).map(|_| seeds.next_u64()).chain(edge_draws(p));
+            for x in draws {
+                let float = (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64) < p;
+                let int = x >> 11 < Chance::new(p).0;
+                assert_eq!(int, float, "p = {p:e}, x = {x:#x}");
+            }
+            let mut a = Rng64::new(p.to_bits());
+            let mut b = a.clone();
+            for _ in 0..500 {
+                assert_eq!(a.gen_bool(p), b.next_f64() < p, "p = {p:e}");
+            }
+        }
     }
 
     #[test]

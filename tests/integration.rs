@@ -40,7 +40,7 @@ fn workload_bytes_flow_to_array_pulses() {
             };
             writes += 1;
             let addr = mapper.decompose(line);
-            let w = fnw.encode(&old[..], &[false; 64], &new[..]);
+            let w = fnw.encode(&old, &[false; 64], &new);
             let plan = wm.plan_line_write_with_data(
                 addr.mat_row,
                 addr.col_offset,
@@ -80,7 +80,7 @@ fn pr_extra_writes_match_fig14_scale() {
             continue;
         };
         let addr = mapper.decompose(line);
-        let w = fnw.encode(&old[..], &[false; 64], &new[..]);
+        let w = fnw.encode(&old, &[false; 64], &new);
         let go = |m: &WriteModel| {
             u64::from(
                 m.plan_line_write_with_data(
