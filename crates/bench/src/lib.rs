@@ -21,6 +21,7 @@
 
 #![forbid(unsafe_code)]
 
+use reram_obs::json::write_string;
 pub use std::hint::black_box;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -210,10 +211,11 @@ impl Harness {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"results\": [\n");
         for (k, s) in self.results.iter().enumerate() {
+            out.push_str("    {\"name\": ");
+            write_string(&mut out, &s.name);
             out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"iters_per_round\": {}, \"rounds\": {}, \
+                ", \"iters_per_round\": {}, \"rounds\": {}, \
                  \"min_ns\": {:.1}, \"median_ns\": {:.1}, \"mean_ns\": {:.1}}}{}\n",
-                s.name.replace('"', "\\\""),
                 s.iters_per_round,
                 s.rounds,
                 s.min_ns,
@@ -296,12 +298,21 @@ mod tests {
         let mut h = bare(None);
         h.bench("alpha", || black_box(2u64 * 2));
         h.bench("beta", || black_box(3u64 * 3));
+        let nasty = "gamma \\ \"q\"\t\u{1}";
+        h.bench(nasty, || black_box(4u64 * 4));
         let json = h.to_json();
         assert!(json.contains("\"name\": \"alpha\""), "{json}");
         assert!(json.contains("\"name\": \"beta\""), "{json}");
         assert!(json.contains("\"min_ns\""), "{json}");
-        // Exactly one trailing-comma-free last element: valid JSON by
-        // construction.
-        assert_eq!(json.matches("},\n").count(), 1, "{json}");
+        // Valid JSON whatever the names hold: every one reads back.
+        let doc = reram_obs::Json::parse(&json).expect("valid JSON");
+        let Some(reram_obs::Json::Arr(results)) = doc.get("results") else {
+            panic!("no results array: {json}");
+        };
+        let names: Vec<_> = results
+            .iter()
+            .filter_map(|r| r.get("name")?.as_str())
+            .collect();
+        assert_eq!(names, ["alpha", "beta", nasty]);
     }
 }

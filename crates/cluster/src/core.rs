@@ -392,7 +392,7 @@ impl RaftCore {
         for e in &self.entries {
             acc.extend_from_slice(&e.crc().to_le_bytes());
         }
-        reram_serve::proto::crc32(&acc)
+        reram_obs::crc32(&acc)
     }
 
     /// Digest of the **committed client-write set**: per-entry CRCs
@@ -417,13 +417,13 @@ impl RaftCore {
         for e in self.entries[..committed].iter().filter(|e| !e.is_noop()) {
             buf[..8].copy_from_slice(&e.line.to_le_bytes());
             buf[8..].copy_from_slice(&e.data[..]);
-            crcs.insert(reram_serve::proto::crc32(&buf));
+            crcs.insert(reram_obs::crc32(&buf));
         }
         let mut acc = Vec::with_capacity(crcs.len() * 4);
         for c in crcs {
             acc.extend_from_slice(&c.to_le_bytes());
         }
-        reram_serve::proto::crc32(&acc)
+        reram_obs::crc32(&acc)
     }
 
     // ----- time -----------------------------------------------------------

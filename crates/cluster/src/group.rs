@@ -1151,7 +1151,7 @@ impl Pump {
                 image.extend_from_slice(&b.peek(local));
             }
         }
-        reram_durable::crc32(&image)
+        reram_obs::crc32(&image)
     }
 
     fn kill_current_leader(&mut self) -> Option<ReplicaId> {

@@ -49,7 +49,7 @@
 mod snapshot;
 mod wal;
 
-pub use snapshot::{crc32, SnapshotState};
+pub use snapshot::SnapshotState;
 pub use wal::{
     DurableConfig, DurableLog, Recovered, WalRecord, RECORD_OVERHEAD, REC_ENTRY, REC_META,
     REC_TRUNCATE,

@@ -7,6 +7,7 @@
 //! the live name. The CRC-32 footer seals the whole body, so bit rot is
 //! detected at load and the reader falls back to an older generation.
 
+use reram_obs::crc32;
 use std::fs::{self, File};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
@@ -14,22 +15,6 @@ use std::path::{Path, PathBuf};
 /// File magic: "RSNP" followed by a format version byte.
 const MAGIC: [u8; 4] = *b"RSNP";
 const VERSION: u8 = 1;
-
-/// CRC-32 (IEEE reflected polynomial), bitwise — fast enough for
-/// snapshot-sized blobs and keeps this crate dependency-free. Public so
-/// callers can seal and cross-check their own payloads and state images
-/// with the same checksum the log uses.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in data {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 /// One recovered (or to-be-written) snapshot: the caller's opaque state
 /// blob as of log position (`last_index`, `last_term`).

@@ -1,9 +1,9 @@
 //! The segmented write-ahead log: fixed-size CRC-guarded records,
 //! seeded-deterministic rotation, torn-tail truncation on replay.
 
-use crate::snapshot::{self, crc32, SnapshotState};
+use crate::snapshot::{self, SnapshotState};
 use reram_fault::{site, FaultInjector, FaultKind};
-use reram_obs::{Obs, Value};
+use reram_obs::{crc32, Obs, Value};
 use reram_workloads::Rng64;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};

@@ -26,10 +26,11 @@
 //! zero-worker pool jobs run inline, so a deadline can only be checked
 //! after the body returns; the real result is kept.)
 
-use crate::journal::{push_json_string, Journal};
+use crate::journal::Journal;
 use crate::pool::ThreadPool;
 use crate::JobError;
 use reram_fault::{FaultInjector, FaultKind};
+use reram_obs::json::write_string;
 use reram_workloads::Rng64;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -239,43 +240,31 @@ impl RunReport {
     /// against its golden manifest.
     #[must_use]
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n  \"completed\": [");
-        for (k, name) in self.completed.iter().enumerate() {
-            out.push_str(if k == 0 { "\n    " } else { ",\n    " });
-            push_json_string(&mut out, name);
-        }
-        out.push_str(if self.completed.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
-        });
-        out.push_str("  \"recovered\": [");
-        for (k, (name, attempts)) in self.recovered.iter().enumerate() {
-            out.push_str(if k == 0 { "\n    " } else { ",\n    " });
-            out.push_str("{\"job\":");
-            push_json_string(&mut out, name);
-            out.push_str(&format!(",\"retries\":{attempts}}}"));
-        }
-        out.push_str(if self.recovered.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
-        });
-        out.push_str("  \"failed\": [");
-        for (k, (name, error)) in self.failed.iter().enumerate() {
-            out.push_str(if k == 0 { "\n    " } else { ",\n    " });
-            out.push_str("{\"job\":");
-            push_json_string(&mut out, name);
-            out.push_str(",\"error\":");
-            push_json_string(&mut out, error);
-            out.push('}');
-        }
-        out.push_str(if self.failed.is_empty() {
-            "]\n}\n"
-        } else {
-            "\n  ]\n}\n"
-        });
-        out
+        let quote = |s: &str| {
+            let mut q = String::new();
+            write_string(&mut q, s);
+            q
+        };
+        let section = |key: &str, items: Vec<String>| {
+            if items.is_empty() {
+                format!("  \"{key}\": []")
+            } else {
+                format!("  \"{key}\": [\n    {}\n  ]", items.join(",\n    "))
+            }
+        };
+        let completed = self.completed.iter().map(|n| quote(n)).collect();
+        let recovered = (self.recovered.iter())
+            .map(|(n, a)| format!("{{\"job\":{},\"retries\":{a}}}", quote(n)))
+            .collect();
+        let failed = (self.failed.iter())
+            .map(|(n, e)| format!("{{\"job\":{},\"error\":{}}}", quote(n), quote(e)))
+            .collect();
+        format!(
+            "{{\n{},\n{},\n{}\n}}\n",
+            section("completed", completed),
+            section("recovered", recovered),
+            section("failed", failed),
+        )
     }
 }
 

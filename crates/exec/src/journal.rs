@@ -24,9 +24,9 @@
 //! rerun job, never a poisoned resume. Records written by older versions
 //! without a `crc` field are accepted as-is.
 //!
-//! Serialization reuses `reram-obs`'s hand-rolled JSON string escaping;
-//! parsing below handles exactly the flat string-valued objects this module
-//! writes (a deliberate non-goal: a general JSON parser).
+//! Records are read and written with `reram-obs`'s JSON reader and writer;
+//! whatever the reader rejects (a missing comma between fields, bytes after
+//! the closing `}` that the CRC does not cover) is quarantined.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -35,7 +35,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use reram_fault::FaultInjector;
-use reram_obs::{Obs, Value};
+use reram_obs::{crc32, json::write_string, Json, Obs, Value};
 
 /// A journal operation that could not touch its file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,21 +62,6 @@ impl std::fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
-/// CRC-32 (IEEE 802.3 reflected polynomial), bitwise — the journal guards
-/// one short line at a time, so a lookup table would be all footprint and
-/// no speedup.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
 /// The CRC input: the record's semantic fields joined with a separator no
 /// payload can contain unescaped (the JSON layer escapes control chars, so
 /// the joint is unambiguous).
@@ -88,82 +73,6 @@ fn record_crc(job: &str, status: &str, body: &str) -> u32 {
     buf.push(0x1f);
     buf.extend_from_slice(body.as_bytes());
     crc32(&buf)
-}
-
-/// Appends a quoted, escaped JSON string literal (same escapes the obs
-/// JSONL sink emits). Shared with the DAG's run-report rendering.
-pub(crate) fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Parses one flat `{"k":"v",...}` object with string values only.
-/// Returns `None` on anything malformed (a truncated tail line from a
-/// killed run must not poison the resume).
-fn parse_flat_object(line: &str) -> Option<BTreeMap<String, String>> {
-    let mut chars = line.trim().chars().peekable();
-    let mut out = BTreeMap::new();
-    if chars.next()? != '{' {
-        return None;
-    }
-    loop {
-        match chars.peek()? {
-            '}' => {
-                chars.next();
-                break;
-            }
-            ',' => {
-                chars.next();
-            }
-            _ => {}
-        }
-        let key = parse_string(&mut chars)?;
-        if chars.next()? != ':' {
-            return None;
-        }
-        let val = parse_string(&mut chars)?;
-        out.insert(key, val);
-    }
-    Some(out)
-}
-
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<String> {
-    if chars.next()? != '"' {
-        return None;
-    }
-    let mut s = String::new();
-    loop {
-        match chars.next()? {
-            '"' => return Some(s),
-            '\\' => match chars.next()? {
-                '"' => s.push('"'),
-                '\\' => s.push('\\'),
-                'n' => s.push('\n'),
-                'r' => s.push('\r'),
-                't' => s.push('\t'),
-                'u' => {
-                    let hex: String = (0..4).map(|_| chars.next()).collect::<Option<_>>()?;
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    s.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => s.push(c),
-        }
-    }
 }
 
 /// How a journaled job ended.
@@ -285,27 +194,25 @@ impl Journal {
     /// Parses one line into a trusted entry, or explains why it cannot be
     /// trusted.
     fn parse_line(line: &str) -> Result<(String, JournalEntry), String> {
-        let obj = parse_flat_object(line).ok_or_else(|| "unparseable record".to_string())?;
-        let job = obj.get("job").ok_or("record missing \"job\"")?.clone();
-        let status = obj.get("status").ok_or("record missing \"status\"")?;
-        let (body, entry) = match status.as_str() {
-            "done" => {
-                let p = obj.get("payload").ok_or("done record missing payload")?;
-                (p.clone(), JournalEntry::Done(p.clone()))
-            }
-            "failed" => {
-                let e = obj.get("error").ok_or("failed record missing error")?;
-                (e.clone(), JournalEntry::Failed(e.clone()))
-            }
+        let obj = Json::parse(line).map_err(|e| format!("unparseable record: {e}"))?;
+        let field = |key: &str| obj.get(key).and_then(Json::as_str);
+        let job = field("job").ok_or("record missing \"job\"")?;
+        let status = field("status").ok_or("record missing \"status\"")?;
+        let (key, entry): (_, fn(String) -> JournalEntry) = match status {
+            "done" => ("payload", JournalEntry::Done),
+            "failed" => ("error", JournalEntry::Failed),
             other => return Err(format!("unknown status {other:?}")),
         };
+        let body = field(key).ok_or_else(|| format!("{status} record missing {key}"))?;
         if let Some(stored) = obj.get("crc") {
-            let expect = format!("{:08x}", record_crc(&job, status, &body));
-            if *stored != expect {
-                return Err(format!("crc mismatch (stored {stored}, computed {expect})"));
+            let expect = format!("{:08x}", record_crc(job, status, body));
+            if stored.as_str() != Some(expect.as_str()) {
+                return Err(format!(
+                    "crc mismatch (stored {stored:?}, computed {expect})"
+                ));
             }
         }
-        Ok((job, entry))
+        Ok((job.to_string(), entry(body.to_string())))
     }
 
     /// Journal file location.
@@ -369,9 +276,9 @@ impl Journal {
             if line.len() > 1 {
                 line.push(',');
             }
-            push_json_string(&mut line, k);
+            write_string(&mut line, k);
             line.push(':');
-            push_json_string(&mut line, v);
+            write_string(&mut line, v);
         }
         line.push('}');
         // Checkpointing must never take the run down: IO errors degrade to
@@ -407,12 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn crc32_matches_reference_vector() {
-        // The classic check value for CRC-32/ISO-HDLC.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-    }
-
-    #[test]
     fn round_trips_done_and_failed() {
         let path = tmp("round_trip.jsonl");
         {
@@ -435,15 +336,18 @@ mod tests {
             let mut j = Journal::open(&path).unwrap();
             j.record_done("a", "1");
         }
-        // Simulate a kill mid-write.
+        // Legacy (crc-less) records with no comma between fields or bytes
+        // after the closing brace, then a kill mid-write.
         let mut text = std::fs::read_to_string(&path).unwrap();
+        text.push_str("{\"job\":\"c\"\"status\":\"done\",\"payload\":\"x\"}\n");
+        text.push_str("{\"job\":\"d\",\"status\":\"done\",\"payload\":\"y\"} junk\n");
         text.push_str("{\"job\":\"b\",\"sta");
         std::fs::write(&path, text).unwrap();
         let j = Journal::open(&path).unwrap();
         assert_eq!(j.completed().len(), 1);
         assert!(j.completed().contains_key("a"));
-        assert_eq!(j.quarantined().len(), 1);
-        assert_eq!(j.quarantined()[0].line, 2);
+        let lines: Vec<usize> = j.quarantined().iter().map(|q| q.line).collect();
+        assert_eq!(lines, [2, 3, 4]);
     }
 
     #[test]
@@ -464,8 +368,9 @@ mod tests {
 
     #[test]
     fn parses_unicode_escapes() {
-        let obj = parse_flat_object("{\"job\":\"x\",\"payload\":\"a\\u0007b\"}").unwrap();
-        assert_eq!(obj["payload"], "a\u{7}b");
+        let rec = r#"{"job":"x","status":"done","payload":"a\u0007b"}"#;
+        let want = ("x".to_string(), JournalEntry::Done("a\u{7}b".into()));
+        assert_eq!(Journal::parse_line(rec), Ok(want));
     }
 
     #[test]

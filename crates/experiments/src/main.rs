@@ -44,6 +44,8 @@
 //! prints the human-readable report.
 
 mod cluster_cmd;
+#[cfg(test)]
+mod decoder_fuzz;
 mod recovery_cmd;
 mod report_cmd;
 mod serve_cmd;

@@ -46,7 +46,7 @@ use crate::serve_cmd::{finish_telemetry, obs_for, parse_num};
 use reram_cluster::{ClusterGroup, GroupConfig};
 use reram_fault::{site, FaultInjector, FaultKind, FaultPlan, FaultSpec};
 use reram_loadgen::{LoadConfig, LoadReport};
-use reram_obs::{Obs, Tracer};
+use reram_obs::{json::write_string, Json, Obs, Tracer};
 use reram_serve::ServeConfig;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -68,71 +68,60 @@ struct CrashCase {
 
 /// The parsed crash plan.
 #[derive(Debug, Clone)]
-struct CrashPlan {
+pub(crate) struct CrashPlan {
     seed: u64,
     cases: Vec<CrashCase>,
 }
 
-/// Extracts the number right after `"key":` in `obj`, if present.
-fn num_field(obj: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\"");
-    let rest = &obj[obj.find(&needle)? + needle.len()..];
-    let rest = rest[rest.find(':')? + 1..].trim_start();
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts the string right after `"key":` in `obj`, if present.
-fn str_field(obj: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\"");
-    let rest = &obj[obj.find(&needle)? + needle.len()..];
-    let rest = rest[rest.find(':')? + 1..].trim_start();
-    let rest = rest.strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// Parses the crash-plan JSON (format in the module docs).
-fn parse_plan(text: &str) -> Result<CrashPlan, String> {
-    let seed = num_field(text, "seed").ok_or("plan needs a numeric \"seed\"")?;
-    let cases_at = text
-        .find("\"cases\"")
-        .ok_or("plan needs a \"cases\" array")?;
-    let mut cases = Vec::new();
-    let mut rest = &text[cases_at..];
-    // Each case object sits between one `{`..`}` pair inside the array —
-    // the format is flat, so brace matching is a plain scan.
-    while let Some(open) = rest.find('{') {
-        let close = rest[open..]
-            .find('}')
-            .map(|c| open + c)
-            .ok_or("unterminated case object")?;
-        let obj = &rest[open..=close];
-        let name = str_field(obj, "name").ok_or("case needs a \"name\"")?;
-        let replica =
-            num_field(obj, "replica").ok_or_else(|| format!("{name}: needs \"replica\""))?;
-        let crash_occurrence = num_field(obj, "crash_occurrence")
-            .ok_or_else(|| format!("{name}: needs \"crash_occurrence\""))?;
-        let disk_kind = match str_field(obj, "disk_kind") {
-            Some(k) => {
-                Some(FaultKind::parse(&k).ok_or_else(|| format!("{name}: unknown disk_kind {k}"))?)
-            }
-            None => None,
-        };
-        cases.push(CrashCase {
-            name,
-            replica: u16::try_from(replica).map_err(|_| "replica id out of range")?,
-            crash_occurrence,
-            disk_kind,
-            disk_occurrence: num_field(obj, "disk_occurrence").unwrap_or(0),
-        });
-        rest = &rest[close + 1..];
-    }
+/// Parses the crash-plan JSON (format in the module docs). Whole-number
+/// fields take exact integer literals only: `"replica": 1.5` or a quoted
+/// `"disk_occurrence": "50"` is an error, never a silent 1 or 0.
+pub(crate) fn parse_plan(text: &str) -> Result<CrashPlan, String> {
+    let doc = Json::parse(text).map_err(|e| format!("crash plan syntax error: {e}"))?;
+    let seed = doc
+        .get("seed")
+        .and_then(Json::as_u64)
+        .ok_or("plan needs a whole-number \"seed\"")?;
+    let Some(Json::Arr(cases)) = doc.get("cases") else {
+        return Err("plan needs a \"cases\" array".into());
+    };
+    let cases = cases
+        .iter()
+        .map(parse_case)
+        .collect::<Result<Vec<_>, _>>()?;
     if cases.is_empty() {
         return Err("plan has no cases".into());
     }
     Ok(CrashPlan { seed, cases })
+}
+
+fn parse_case(obj: &Json) -> Result<CrashCase, String> {
+    let name = obj
+        .get("name")
+        .and_then(Json::as_str)
+        .ok_or("case needs a \"name\"")?;
+    let num = |key: &str| match obj.get(key) {
+        None => Ok(None),
+        Some(v) => v
+            .as_u64()
+            .map(Some)
+            .ok_or(format!("{name}: {key} must be a whole number")),
+    };
+    let replica = num("replica")?.ok_or_else(|| format!("{name}: needs \"replica\""))?;
+    let crash_occurrence =
+        num("crash_occurrence")?.ok_or_else(|| format!("{name}: needs \"crash_occurrence\""))?;
+    let kind = |k: &Json| {
+        k.as_str()
+            .and_then(FaultKind::parse)
+            .ok_or(format!("{name}: bad disk_kind {k:?}"))
+    };
+    Ok(CrashCase {
+        name: name.to_string(),
+        replica: u16::try_from(replica).map_err(|_| format!("{name}: replica id out of range"))?,
+        crash_occurrence,
+        disk_kind: obj.get("disk_kind").map(kind).transpose()?,
+        disk_occurrence: num("disk_occurrence")?.unwrap_or(0),
+    })
 }
 
 /// The fault plan for one case: the scheduled crash, plus the optional
@@ -443,11 +432,12 @@ pub fn recovery_cmd(args: &[String]) -> ExitCode {
     let case_json: Vec<String> = results
         .iter()
         .map(|r| {
+            let mut name = String::new();
+            write_string(&mut name, &r.name);
             format!(
-                "    {{\"name\": \"{}\", \"ledger_match\": {}, \"log_match\": {}, \
+                "    {{\"name\": {name}, \"ledger_match\": {}, \"log_match\": {}, \
                  \"store_match\": {}, \"restarted\": {}, \"audit_clean\": {}, \
                  \"faults_injected\": {}, \"pass\": {}}}",
-                r.name,
                 r.ledger_match,
                 r.log_match,
                 r.store_match,
@@ -529,6 +519,15 @@ mod tests {
             .is_err(),
             "unknown kind"
         );
+        // Whole numbers are exact integer literals: never truncated to 1,
+        // never defaulted to 0.
+        for case in [
+            r#""replica": 1.5, "crash_occurrence": 2"#,
+            r#""replica": 1, "crash_occurrence": 2, "disk_occurrence": "50""#,
+        ] {
+            let text = format!(r#"{{"seed": 1, "cases": [{{"name": "x", {case}}}]}}"#);
+            assert!(parse_plan(&text).is_err(), "{text}");
+        }
     }
 
     #[test]

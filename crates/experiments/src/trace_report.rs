@@ -21,6 +21,7 @@
 //! answer the paper's partition-RESET story needs when the verify ladder
 //! or pump recharge stretches `server.service`.
 
+use reram_obs::{json::write_string, Json};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 
@@ -51,36 +52,19 @@ impl Span {
     }
 }
 
-/// Extracts an unsigned JSON number field from a single-line object.
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let rest = &line[line.find(&pat)? + pat.len()..];
-    let rest = rest.trim_start();
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts a JSON string field (no escape handling — stage labels are
-/// plain idents by construction).
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let rest = &line[line.find(&pat)? + pat.len()..];
-    Some(rest[..rest.find('"')?].to_string())
-}
-
 /// Parses one JSONL span line; `None` for blanks or foreign lines.
 #[must_use]
 pub fn parse_span(line: &str) -> Option<Span> {
+    let v = Json::parse(line).ok()?;
+    let num = |key: &str| v.get(key).and_then(Json::as_u64);
     Some(Span {
-        trace: field_u64(line, "trace")?,
-        span: field_u64(line, "span")?,
-        parent: field_u64(line, "parent")?,
-        stage: field_str(line, "stage")?,
-        start_ns: field_u64(line, "start_ns")?,
-        end_ns: field_u64(line, "end_ns")?,
-        detail: field_u64(line, "detail").unwrap_or(0),
+        trace: num("trace")?,
+        span: num("span")?,
+        parent: num("parent")?,
+        stage: v.get("stage")?.as_str()?.to_string(),
+        start_ns: num("start_ns")?,
+        end_ns: num("end_ns")?,
+        detail: num("detail").unwrap_or(0),
     })
 }
 
@@ -375,10 +359,12 @@ pub fn render_json(r: &TraceReport) -> String {
         if i > 0 {
             out.push_str(", ");
         }
+        out.push_str("{\"stage\": ");
+        write_string(&mut out, &s.stage);
         let _ = write!(
             out,
-            "{{\"stage\": \"{}\", \"count\": {}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"share_pct\": {:.2}}}",
-            s.stage, s.count, s.p50_us, s.p99_us, s.share_pct
+            ", \"count\": {}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"share_pct\": {:.2}}}",
+            s.count, s.p50_us, s.p99_us, s.share_pct
         );
     }
     out.push_str("]}\n");

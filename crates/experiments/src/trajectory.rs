@@ -10,6 +10,8 @@
 //!   against the **previous** entry — hardware drift between CI hosts is
 //!   absorbed, a real throughput cliff is not.
 
+use reram_obs::Json;
+
 /// One trajectory entry.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrajPoint {
@@ -17,17 +19,6 @@ pub struct TrajPoint {
     pub pr: u64,
     /// Committed closed-loop throughput, requests per second.
     pub req_per_s: f64,
-}
-
-/// Extracts a JSON number field (integer or float) from a one-line object.
-fn field_f64(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let rest = &line[line.find(&pat)? + pat.len()..];
-    let rest = rest.trim_start();
-    let end = rest
-        .find(|c: char| !matches!(c, '0'..='9' | '+' | '-' | '.' | 'e' | 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// Parses every well-formed trajectory line; skips blanks, comments, and
@@ -39,13 +30,13 @@ fn field_f64(line: &str, key: &str) -> Option<f64> {
 pub fn parse_points(text: &str) -> Vec<TrajPoint> {
     text.lines()
         .filter_map(|line| {
-            if line.contains("\"mode\":") {
+            let v = Json::parse(line).ok()?;
+            if v.get("mode").is_some() {
                 return None;
             }
             Some(TrajPoint {
-                #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                pr: field_f64(line, "pr")? as u64,
-                req_per_s: field_f64(line, "req_per_s")?,
+                pr: v.get("pr")?.as_u64()?,
+                req_per_s: v.get("req_per_s")?.as_f64()?,
             })
         })
         .collect()
@@ -114,41 +105,20 @@ mod tests {
 
     #[test]
     fn replicated_mode_datapoints_are_documentation_not_gate_input() {
-        // A replicated entry pays the consensus tax and would trip the
-        // regression floor; the gate only reads single-node lines.
-        let text = "{\"pr\": 6, \"req_per_s\": 48000.0}\n\
-                    {\"pr\": 7, \"mode\": \"replicated\", \"req_per_s\": 6000.0}\n\
-                    {\"pr\": 7, \"req_per_s\": 48100.0}\n";
-        let pts = parse_points(text);
-        assert_eq!(pts.len(), 2);
-        assert_eq!(pts[1].pr, 7);
-        assert!(check(&pts, 0.10).is_ok());
-    }
-
-    #[test]
-    fn durable_mode_datapoints_are_documentation_not_gate_input() {
-        // A durable entry pays the WAL fsync tax; only plain single-node
-        // lines feed the regression floor.
-        let text = "{\"pr\": 8, \"req_per_s\": 48000.0}\n\
-                    {\"pr\": 9, \"mode\": \"durable\", \"req_per_s\": 46000.0}\n\
-                    {\"pr\": 9, \"req_per_s\": 48200.0}\n";
-        let pts = parse_points(text);
-        assert_eq!(pts.len(), 2);
-        assert_eq!(pts[1].pr, 9);
-        assert!(check(&pts, 0.10).is_ok());
-    }
-
-    #[test]
-    fn surrogate_mode_datapoints_are_documentation_not_gate_input() {
-        // A surrogate-physics entry tracks LUT-priced timing, not the
-        // analytic baseline the floor is pinned to.
-        let text = "{\"pr\": 9, \"req_per_s\": 48000.0}\n\
-                    {\"pr\": 10, \"mode\": \"surrogate\", \"req_per_s\": 46500.0}\n\
-                    {\"pr\": 10, \"req_per_s\": 48100.0}\n";
-        let pts = parse_points(text);
-        assert_eq!(pts.len(), 2);
-        assert_eq!(pts[1].pr, 10);
-        assert!(check(&pts, 0.10).is_ok());
+        // A mode-tagged entry would trip the regression floor: replicated
+        // pays the consensus tax, durable the WAL fsync tax, and surrogate
+        // tracked LUT-priced timing. The gate only reads single-node lines.
+        for mode in ["replicated", "durable", "surrogate"] {
+            let text = format!(
+                "{{\"pr\": 6, \"req_per_s\": 48000.0}}\n\
+                 {{\"pr\": 7, \"mode\": \"{mode}\", \"req_per_s\": 6000.0}}\n\
+                 {{\"pr\": 7, \"req_per_s\": 48100.0}}\n"
+            );
+            let pts = parse_points(&text);
+            assert_eq!(pts.len(), 2, "{mode}");
+            assert_eq!(pts[1].pr, 7);
+            assert!(check(&pts, 0.10).is_ok());
+        }
     }
 
     #[test]

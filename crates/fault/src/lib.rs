@@ -572,6 +572,8 @@ mod tests {
         let back = FaultPlan::parse_json(&text).expect("round trip");
         assert_eq!(back, p);
         assert_eq!(back.distinct_kinds(), 3);
+        let big = FaultPlan::new((1 << 53) + 1);
+        assert_eq!(FaultPlan::parse_json(&big.to_json()), Ok(big));
     }
 
     #[test]

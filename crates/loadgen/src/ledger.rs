@@ -16,7 +16,7 @@
 //! interleaving as long as each client's own stream is deterministic
 //! (clients own disjoint address partitions, so they are).
 
-use reram_serve::proto::crc32;
+use reram_obs::crc32;
 
 /// Outcome classes a resolved request can land in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -44,8 +44,8 @@
 pub mod ledger;
 
 use ledger::{combine_digests, Ledger, Outcome};
-use reram_obs::{Histogram, Obs, SloTracker, SpanRecord, TraceContext, Tracer};
-use reram_serve::proto::{code, crc32, Request, Response, WireError, LINE_BYTES};
+use reram_obs::{crc32, Histogram, Json, Obs, SloTracker, SpanRecord, TraceContext, Tracer};
+use reram_serve::proto::{code, Request, Response, WireError, LINE_BYTES};
 use reram_serve::server::Client;
 use reram_workloads::{AccessKind, BenchProfile, Rng64, TraceGenerator};
 use std::collections::BTreeMap;
@@ -927,25 +927,25 @@ fn run_client_open(
     )
 }
 
-/// Extracts every unsigned integer directly following `"key":` in a flat
-/// JSON string — the minimal parse the stats monitor needs from a
-/// `STATS_JSON` snapshot.
-fn extract_u64s(json: &str, key: &str) -> Vec<u64> {
-    let needle = format!("\"{key}\":");
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(pos) = rest.find(&needle) {
-        rest = &rest[pos + needle.len()..];
-        let end = rest
-            .find(|c: char| !c.is_ascii_digit())
-            .unwrap_or(rest.len());
-        if end > 0 {
-            if let Ok(v) = rest[..end].parse() {
-                out.push(v);
-            }
-        }
-    }
-    out
+/// Reads a `STATS_JSON` snapshot (from TCP: malformed is `None`, never a
+/// panic) into `[queued, window, busy, term, commit, lag]`: summed queue
+/// depth, narrowest window, lifetime busy count, and cluster state.
+fn read_stats(json: &str) -> Option<[Option<u64>; 6]> {
+    let doc = Json::parse(json).ok()?;
+    let num = |obj: Option<&Json>, key: &str| obj?.get(key)?.as_u64();
+    let shards = match doc.get("shards") {
+        Some(Json::Arr(shards)) => &shards[..],
+        _ => &[],
+    };
+    let cluster = doc.get("cluster");
+    Some([
+        Some(shards.iter().filter_map(|s| num(Some(s), "queued")).sum()),
+        shards.iter().filter_map(|s| num(Some(s), "window")).min(),
+        num(doc.get("service"), "busy"),
+        num(cluster, "term"),
+        num(cluster, "commit"),
+        num(cluster, "lag"),
+    ])
 }
 
 /// The monitor loop: polls the server's `STATS_JSON` snapshot every
@@ -968,29 +968,22 @@ fn poll_stats(addr: SocketAddr, poll_ms: u64, obs: &Obs, stop: &AtomicBool) -> u
         match c.call(&Request::StatsJson) {
             Ok(Response::StatsJsonOk { json }) => {
                 polls += 1;
-                h_depth.record(extract_u64s(&json, "queued").iter().sum::<u64>() as f64);
-                if let Some(w) = extract_u64s(&json, "window").iter().min() {
-                    g_window.set(*w as f64);
+                let Some([queued, window, busy, term, commit, lag]) = read_stats(&json) else {
+                    break;
+                };
+                h_depth.record(queued.unwrap_or(0) as f64);
+                for (v, g) in [
+                    (window, &g_window),
+                    (busy, &g_busy),
+                    (term, &g_term),
+                    (commit, &g_commit),
+                ] {
+                    if let Some(v) = v {
+                        g.set(v as f64);
+                    }
                 }
-                // The per-shard rows each carry a "busy"; the service
-                // object's lifetime total comes after them.
-                let svc = json.find("\"service\":").map_or("", |p| &json[p..]);
-                if let Some(b) = extract_u64s(svc, "busy").first() {
-                    g_busy.set(*b as f64);
-                }
-                // Replicated services append a "cluster" object: track the
-                // polled replica's term/commit and its replication lag.
-                let cl = json.find("\"cluster\":").map_or("", |p| &json[p..]);
-                if !cl.is_empty() {
-                    if let Some(t) = extract_u64s(cl, "term").first() {
-                        g_term.set(*t as f64);
-                    }
-                    if let Some(ci) = extract_u64s(cl, "commit").first() {
-                        g_commit.set(*ci as f64);
-                    }
-                    if let Some(l) = extract_u64s(cl, "lag").first() {
-                        h_lag.record(*l as f64);
-                    }
+                if let Some(l) = lag {
+                    h_lag.record(l as f64);
                 }
             }
             // The server vanished (drain/stop) or answered oddly: the
@@ -1294,12 +1287,14 @@ mod tests {
 
     #[test]
     fn stats_json_extraction_finds_every_occurrence() {
-        let json = "{\"shards\":[{\"queued\":3,\"busy\":1},{\"queued\":12,\"busy\":0}],\
+        let json = "{\"shards\":[{\"queued\":3,\"window\":16,\"busy\":1},\
+                    {\"queued\":12,\"window\":4,\"busy\":0}],\
                     \"service\":{\"requests\":40,\"busy\":9}}";
-        assert_eq!(extract_u64s(json, "queued"), vec![3, 12]);
-        assert_eq!(extract_u64s(json, "busy"), vec![1, 0, 9]);
-        let svc = &json[json.find("\"service\":").unwrap()..];
-        assert_eq!(extract_u64s(svc, "busy"), vec![9]);
-        assert!(extract_u64s(json, "absent").is_empty());
+        let want = [Some(15), Some(4), Some(9), None, None, None];
+        assert_eq!(read_stats(json), Some(want));
+        let json = "{\"shards\":[],\"cluster\":{\"role\":\"leader\",\"term\":3,\"lag\":0}}";
+        let want = [Some(0), None, None, Some(3), None, Some(0)];
+        assert_eq!(read_stats(json), Some(want));
+        assert_eq!(read_stats("{\"shards\":[{\"queued\":3}"), None);
     }
 }

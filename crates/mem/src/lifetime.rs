@@ -24,6 +24,7 @@
 
 use crate::{ChargePump, MemoryConfig};
 use reram_core::{Scheme, WriteModel};
+use reram_workloads::SplitMix64;
 
 /// Seconds per year (Julian).
 const SECONDS_PER_YEAR: f64 = 365.25 * 24.0 * 3600.0;
@@ -125,14 +126,7 @@ impl LifetimeModel {
     /// dummy RESET/SET pairs and D-BL's dummy-BL RESETs charge their wear.
     fn worst_pattern_cells_per_write(&self, wm: &WriteModel) -> f64 {
         let slices = self.cfg.line_bytes;
-        let mut state = 0x5DEE_CE66_D15E_A5E5u64;
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut x = state;
-            x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            x ^ (x >> 31)
-        };
+        let mut rng = SplitMix64::new(0x5DEE_CE66_D15E_A5E5);
         let samples = 16;
         let mut total = 0.0;
         for _ in 0..samples {
@@ -140,7 +134,7 @@ impl LifetimeModel {
             let mut sets = vec![0u8; slices];
             let mut data = vec![0u8; slices];
             for s in 0..slices {
-                let r = next();
+                let r = rng.next_u64();
                 // Exactly 4 of 8 cells change per slice (the FNW worst case):
                 // alternate the changed bits between RESETs and SETs.
                 let changed = 0x0Fu8.rotate_left((r % 8) as u32);

@@ -12,6 +12,8 @@
 //! Both are exact bijections — the property tests below prove it — which is
 //! what lets the lifetime model assume uniform wear.
 
+use reram_workloads::SplitMix64;
+
 /// Security-Refresh-style inter-line wear leveling.
 ///
 /// The address space of `2^bits` lines is permuted by a four-round Feistel
@@ -55,9 +57,9 @@ impl SecurityRefresh {
     }
 
     fn rekey(&mut self, seed: u64) {
-        let mut z = seed;
+        let mut sm = SplitMix64::new(seed);
         for k in &mut self.keys {
-            *k = splitmix64(&mut z);
+            *k = sm.next_u64();
         }
     }
 
@@ -77,8 +79,7 @@ impl SecurityRefresh {
         let mut l = logical >> rbits;
         let mut r = logical & rmask;
         for (round, &key) in self.keys.iter().enumerate() {
-            let mut z = r ^ key;
-            let f = splitmix64(&mut z);
+            let f = SplitMix64::new(r ^ key).next_u64();
             // Swap halves; alternate which mask applies to keep the
             // unbalanced halves consistent across rounds.
             let nl = r;
@@ -105,15 +106,6 @@ impl SecurityRefresh {
     pub fn writes(&self) -> u64 {
         self.writes
     }
-}
-
-/// SplitMix64 step — deterministic, well mixed, dependency-free.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut x = *state;
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Intra-line row shifting.

@@ -29,6 +29,8 @@
 //!   [`TraceContext::trace_id`].
 //! * [`SloTracker`] — a latency SLO restated as an error budget, exported
 //!   as burn-rate / budget-remaining gauges.
+//! * [`crc32`] and [`json`] — the workspace's one checksum and its one JSON
+//!   reader ([`Json::parse`]) and string writer ([`json::write_string`]).
 //!
 //! # Naming scheme
 //!
@@ -57,13 +59,30 @@
 #![warn(missing_docs)]
 
 pub mod hist;
+pub mod json;
 pub mod registry;
 pub mod sink;
 pub mod slo;
 pub mod trace;
 
 pub use hist::Histogram;
+pub use json::{Json, JsonError};
 pub use registry::{Counter, Gauge, Hist, MetricKind, MetricSummary, Obs, Span};
 pub use sink::{EventSink, JsonlSink, NullSink, SinkError, Value};
 pub use slo::SloTracker;
 pub use trace::{SpanRecord, TraceContext, Tracer};
+
+/// CRC-32 (IEEE 802.3, reflected `0xEDB88320`), bitwise: the checksum of
+/// wire frames, WAL records, snapshots, journal records and ledgers.
+#[must_use]
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+        }
+    }
+    !crc
+}

@@ -303,14 +303,11 @@ impl Obs {
             if k > 0 {
                 out.push(',');
             }
+            out.push_str("\n  {\"metric\":");
+            crate::json::write_string(&mut out, &m.name);
             let _ = write!(
                 out,
-                "\n  {{\"metric\":{},\"kind\":\"{}\",\"count\":{},\"mean\":{},\"p50\":{},\"p99\":{},\"p999\":{},\"max\":{}}}",
-                {
-                    let mut name = String::new();
-                    crate::sink::write_json_string(&mut name, &m.name);
-                    name
-                },
+                ",\"kind\":\"{}\",\"count\":{},\"mean\":{},\"p50\":{},\"p99\":{},\"p999\":{},\"max\":{}}}",
                 m.kind.label(),
                 m.count,
                 fmt_opt(m.mean),

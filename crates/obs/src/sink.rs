@@ -12,6 +12,7 @@
 //! fields in emission order. Serialization is hand-rolled on `std` so the
 //! build needs no registry access; non-finite floats serialize as `null`.
 
+use crate::json::write_string;
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -66,27 +67,8 @@ fn write_value(out: &mut String, v: &Value) {
         Value::Bool(x) => {
             let _ = write!(out, "{x}");
         }
-        Value::Str(s) => write_json_string(out, s),
+        Value::Str(s) => write_string(out, s),
     }
-}
-
-/// Appends a JSON string literal (quoted, escaped) to `out`.
-pub(crate) fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Renders one event as a single JSONL line (no trailing newline).
@@ -94,10 +76,10 @@ pub(crate) fn write_json_string(out: &mut String, s: &str) {
 pub fn render_jsonl(seq: u64, name: &str, fields: &[(&str, Value)]) -> String {
     let mut line = String::with_capacity(64 + fields.len() * 16);
     let _ = write!(line, "{{\"seq\":{seq},\"event\":");
-    write_json_string(&mut line, name);
+    write_string(&mut line, name);
     for (k, v) in fields {
         line.push(',');
-        write_json_string(&mut line, k);
+        write_string(&mut line, k);
         line.push(':');
         write_value(&mut line, v);
     }

@@ -14,7 +14,8 @@
 //!
 //! All integers are little-endian, matching the rest of the protocol.
 
-use crate::proto::{crc32, op, Frame, WireError, LINE_BYTES};
+use crate::proto::{op, Frame, WireError, LINE_BYTES};
+use reram_obs::crc32;
 
 /// Replica identifier inside one shard group (dense, `0..n`).
 pub type ReplicaId = u16;

@@ -190,21 +190,9 @@ impl From<std::io::Error> for WireError {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) over `bytes` — the same
-/// polynomial `reram-exec`'s journal uses, reimplemented here so the wire
-/// crate stays decoupled from the execution engine's internals.
-#[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
+// The workspace's one CRC-32 seals frames. `perfbench`, a separate
+// workspace built against this crate, imports it from this path.
+pub use reram_obs::crc32;
 
 /// One decoded frame: the transport unit under the typed messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -602,7 +590,8 @@ mod tests {
 
     #[test]
     fn crc32_matches_reference_vectors() {
-        // IEEE 802.3 check values.
+        // IEEE 802.3 check values of the workspace CRC-32, through the path
+        // `perfbench` imports.
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
