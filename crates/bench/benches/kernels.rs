@@ -34,19 +34,15 @@ fn bench_solver(h: &mut Harness) {
 
 /// The accelerated solver configurations on the same worst-case RESET bias:
 /// warm-started (a small voltage ramp, as sweep-style callers produce),
-/// cold on two relaxation threads, and warm on two threads. The warm
-/// entries use a loose linearization-cache epsilon; correctness is still
-/// pinned by the exact residual check inside the solver.
+/// cold on two relaxation threads, and warm on two threads, all through
+/// [`Crosspoint::solve_into`] with the default options.
 fn bench_solver_accel(h: &mut Harness) {
     let sizes: &[usize] = if h.is_full() {
         &[64, 128, 256, 512]
     } else {
         &[64, 128, 256]
     };
-    let warm_opts = SolveOptions {
-        lin_cache_epsilon_volts: Some(1e-5),
-        ..SolveOptions::default()
-    };
+    let opts = SolveOptions::default();
     for &n in sizes {
         let model = ArrayModel::paper_baseline().with_geometry(ArrayGeometry::new(n, 8));
         // Three nearby biases (DRVR-style millivolt regulation steps),
@@ -63,7 +59,9 @@ fn bench_solver_accel(h: &mut Harness) {
             h.bench(&format!("kcl_solve_warm_{n}x{n}"), move || {
                 let cp = &ramp[k % ramp.len()];
                 k += 1;
-                cp.solve_warm(black_box(&warm_opts), &mut ws).unwrap()
+                cp.solve_into(black_box(&opts), &mut ws, &Obs::off())
+                    .unwrap()
+                    .stats()
             });
         }
         {
@@ -71,8 +69,9 @@ fn bench_solver_accel(h: &mut Harness) {
             let mut ws = SolverWorkspace::new().with_threads(2);
             h.bench(&format!("kcl_solve_par_{n}x{n}"), move || {
                 ws.clear_seed(); // isolate the thread axis: always cold
-                cp.solve_warm(black_box(&SolveOptions::default()), &mut ws)
+                cp.solve_into(black_box(&opts), &mut ws, &Obs::off())
                     .unwrap()
+                    .stats()
             });
         }
         {
@@ -82,7 +81,9 @@ fn bench_solver_accel(h: &mut Harness) {
             h.bench(&format!("kcl_solve_warm_par_{n}x{n}"), move || {
                 let cp = &ramp[k % ramp.len()];
                 k += 1;
-                cp.solve_warm(black_box(&warm_opts), &mut ws).unwrap()
+                cp.solve_into(black_box(&opts), &mut ws, &Obs::off())
+                    .unwrap()
+                    .stats()
             });
         }
     }

@@ -2,20 +2,19 @@
 //!
 //! [`Crosspoint::solve_recover`] wraps a warm solve in an escalation
 //! sequence that absorbs transient failures — an injected fault, a stale
-//! warm seed or linearization cache, a marginally-conditioned system —
-//! before surfacing an error to the caller:
+//! warm seed, a marginally-conditioned system — before surfacing an error
+//! to the caller:
 //!
 //! 1. **Requested solve** — warm-started if the workspace holds a seed,
 //!    with the caller's exact [`SolveOptions`].
-//! 2. **Cold restart** — drop the warm seed *and* every linearization-cache
-//!    entry, then re-solve with the same options from the cold bias-ramp
-//!    initial guess. Because this attempt shares nothing with the failed
-//!    one, its iterate sequence is *bitwise identical* to a fault-free cold
-//!    solve — the determinism guarantee the fault-injection property tests
-//!    pin down.
-//! 3. **Damped** — quarter the Newton step clamp, double the sweep budget
-//!    and disable the linearization cache: slower, but converges on
-//!    stiffer systems that oscillate under the default damping.
+//! 2. **Cold restart** — drop the warm seed, then re-solve with the same
+//!    options from the cold bias-ramp initial guess. Because this attempt
+//!    shares nothing with the failed one, its iterate sequence is *bitwise
+//!    identical* to a fault-free cold solve — the determinism guarantee the
+//!    fault-injection property tests pin down.
+//! 3. **Damped** — quarter the Newton step clamp and double the sweep
+//!    budget: slower, but converges on stiffer systems that oscillate under
+//!    the default damping.
 //! 4. **Regularized pivot** — only for [`SolveError::SingularLine`]: add
 //!    ~1 nS of leak to every node ([`SolveOptions::extra_leak_s`]), which
 //!    bounds every pivot away from zero. The answer carries a sub-microvolt
@@ -26,7 +25,7 @@
 //! reported back through it (so run manifests can pair injections with
 //! recoveries).
 
-use crate::solve::{Solution, SolveOptions};
+use crate::solve::{SolutionView, SolveOptions, SolveStats};
 use crate::workspace::SolverWorkspace;
 use crate::{Crosspoint, SolveError};
 use reram_obs::{Obs, Value};
@@ -41,8 +40,8 @@ pub const RECOVERY_LEAK_S: f64 = 1e-9;
 pub enum RecoveryRung {
     /// The requested solve succeeded; nothing was recovered.
     Clean,
-    /// Succeeded after dropping the warm seed and linearization cache
-    /// (bitwise identical to a fault-free cold solve).
+    /// Succeeded after dropping the warm seed (bitwise identical to a
+    /// fault-free cold solve).
     ColdRestart,
     /// Succeeded under tightened damping and an extended sweep budget.
     Damped,
@@ -99,48 +98,58 @@ impl Recovery {
 }
 
 impl Crosspoint {
-    /// [`Crosspoint::solve_warm_observed`] behind the recovery ladder
-    /// described in the module docs. On success the [`Recovery`] reports
-    /// which rung produced the answer; the error returned on total failure
-    /// is the *last* rung's, whose diagnostics reflect the most-forgiving
+    /// [`Crosspoint::solve_into`] behind the recovery ladder described in
+    /// the module docs. On success the [`Recovery`] reports which rung
+    /// produced the answer; the error returned on total failure is the
+    /// *last* rung's, whose diagnostics reflect the most-forgiving
     /// configuration tried.
     ///
     /// # Errors
     ///
-    /// As [`Crosspoint::solve_warm`], but only after every applicable rung
+    /// As [`Crosspoint::solve_into`], but only after every applicable rung
     /// failed.
-    pub fn solve_recover(
+    pub fn solve_recover<'w>(
+        &self,
+        opts: &SolveOptions,
+        ws: &'w mut SolverWorkspace,
+        obs: &Obs,
+    ) -> Result<(SolutionView<'w>, Recovery), SolveError> {
+        let (stats, rec) = self.climb(opts, ws, obs)?;
+        Ok((self.view(ws, stats), rec))
+    }
+
+    /// The ladder itself: the converged statistics and how they were won.
+    fn climb(
         &self,
         opts: &SolveOptions,
         ws: &mut SolverWorkspace,
         obs: &Obs,
-    ) -> Result<(Solution, Recovery), SolveError> {
-        let first = match self.solve_warm_observed(opts, ws, obs) {
-            Ok(sol) => return Ok((sol, Recovery::clean())),
+    ) -> Result<(SolveStats, Recovery), SolveError> {
+        let first = match self.solve_tracked(opts, ws, obs) {
+            Ok(stats) => return Ok((stats, Recovery::clean())),
             Err(e) => e,
         };
 
-        // Rung 2: cold restart. A failed solve already dropped the warm
-        // seed; invalidating the cache removes the last state shared with
-        // the failed attempt, making this bit-identical to a cold solve.
+        // Rung 2: cold restart. Dropping the seed leaves this attempt
+        // nothing of the failed one, so it is bit-identical to a cold solve.
         ws.clear_seed();
-        ws.invalidate_cache();
-        if let Ok(sol) = self.solve_warm_observed(opts, ws, obs) {
+        if let Ok(stats) = self.solve_tracked(opts, ws, obs) {
             let rec = self.recovered(RecoveryRung::ColdRestart, 2, first, ws, obs);
-            return Ok((sol, rec));
+            return Ok((stats, rec));
         }
 
-        // Rung 3: tightened damping, extended budget, cache off.
+        // Rung 3: tightened damping, extended budget.
         let damped = SolveOptions {
             max_step_volts: opts.max_step_volts / 4.0,
             max_sweeps: opts.max_sweeps * 2,
-            lin_cache_epsilon_volts: None,
             ..*opts
         };
         ws.clear_seed();
-        ws.invalidate_cache();
-        let mut last = match self.solve_warm_observed(&damped, ws, obs) {
-            Ok(sol) => return Ok((sol, self.recovered(RecoveryRung::Damped, 3, first, ws, obs))),
+        let mut last = match self.solve_tracked(&damped, ws, obs) {
+            Ok(stats) => {
+                let rec = self.recovered(RecoveryRung::Damped, 3, first, ws, obs);
+                return Ok((stats, rec));
+            }
             Err(e) => e,
         };
 
@@ -153,13 +162,10 @@ impl Crosspoint {
                 ..damped
             };
             ws.clear_seed();
-            ws.invalidate_cache();
-            match self.solve_warm_observed(&regularized, ws, obs) {
-                Ok(sol) => {
-                    return Ok((
-                        sol,
-                        self.recovered(RecoveryRung::Regularized, 4, first, ws, obs),
-                    ))
+            match self.solve_tracked(&regularized, ws, obs) {
+                Ok(stats) => {
+                    let rec = self.recovered(RecoveryRung::Regularized, 4, first, ws, obs);
+                    return Ok((stats, rec));
                 }
                 Err(e) => last = e,
             }
@@ -304,7 +310,7 @@ mod tests {
         let inj = injector(FaultKind::SolverPerturbLinearization);
         let mut ws = SolverWorkspace::new().with_faults(inj, "test");
         let err = cp
-            .solve_warm(&SolveOptions::default(), &mut ws)
+            .solve_into(&SolveOptions::default(), &mut ws, &reram_obs::Obs::off())
             .expect_err("biased residual cannot converge");
         match err {
             SolveError::NotConverged { sweeps, .. } => {

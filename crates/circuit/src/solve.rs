@@ -11,9 +11,8 @@
 //! # Acceleration
 //!
 //! Sweep-style callers (validation grids, voltage ramps, figure loops) can
-//! hold a [`SolverWorkspace`] and call [`Crosspoint::solve_warm`] /
-//! [`Crosspoint::solve_into`] to stack three optimizations, none of which
-//! changes a converged answer:
+//! hold a [`SolverWorkspace`] and call [`Crosspoint::solve_into`] to stack
+//! two optimizations, neither of which changes a converged answer:
 //!
 //! * **Warm starts** — the workspace keeps the previous converged operating
 //!   point and seeds the next solve from it instead of the cold boundary
@@ -26,12 +25,6 @@
 //!   least [`MIN_BAND_LINES`] lines. Every line's
 //!   system is built, solved and applied with the same arithmetic at any
 //!   thread count, so results are bitwise-identical to one thread.
-//! * **Linearization caching** — each cell's last `(v, g, i0)` Newton
-//!   linearization is kept; cells whose junction voltage moved less than
-//!   [`SolveOptions::lin_cache_epsilon_volts`] skip the expensive device
-//!   model. The exact nonlinear KCL residual check still gates convergence,
-//!   so a stale cache can never produce a wrong answer — at worst it
-//!   triggers a cache refresh and more sweeps.
 //!
 //! [`Crosspoint::solve_into`] returns a [`SolutionView`] of the workspace
 //! planes instead of copying them into a [`Solution`].
@@ -63,12 +56,12 @@ const NODE_LEAK_S: f64 = 1e-12;
 const LINE_BATCH: usize = TRIDIAG_BATCH_MAX;
 
 /// Consecutive stalled sweeps (iterate within `tol_volts` of its fixed
-/// point, exact residual still above `tol_amps`, no linearization cache
-/// left to refresh) before the solve gives up early. A per-sweep update
-/// below `tol_volts` (1e-10 V by default) cannot close an ampere-scale
-/// residual gap no matter how many sweeps remain, so a short confirmation
-/// run is enough — this turns a guaranteed 20 000-sweep burn into a
-/// handful of sweeps whenever a solve is truly wedged.
+/// point, exact residual still above `tol_amps`) before the solve gives up
+/// early. A per-sweep update below `tol_volts` (1e-10 V by default) cannot
+/// close an ampere-scale residual gap no matter how many sweeps remain, so
+/// a short confirmation run is enough — this turns a guaranteed
+/// 20 000-sweep burn into a handful of sweeps whenever a solve is truly
+/// wedged.
 const STALL_BAIL_SWEEPS: u32 = 4;
 
 /// Options controlling the nonlinear relaxation.
@@ -84,19 +77,6 @@ pub struct SolveOptions {
     /// Per-node, per-sweep update clamp (volts); damps the Newton updates of
     /// strongly nonlinear selectors.
     pub max_step_volts: f64,
-    /// Reuse a cell's previous Newton linearization while its junction
-    /// voltage has moved by no more than this (volts); `None` (the default)
-    /// disables the cache, so plain solves pay no lookup overhead.
-    /// `Some(0.0)` skips only re-linearizations at a bitwise-identical
-    /// junction voltage, so it matches `None` bitwise as long as every
-    /// cell keeps the device its cache entry was computed for. Entries are
-    /// keyed by cell position, not by device: a caller that swaps devices
-    /// between warm solves on one workspace must call
-    /// [`SolverWorkspace::invalidate_cache`] first, or a changed cell can
-    /// reuse its old device's linearization. Looser values (e.g. `1e-5`)
-    /// skip most device-model evaluations in warm-started sweeps and are
-    /// still guarded by the exact nonlinear residual check.
-    pub lin_cache_epsilon_volts: Option<f64>,
     /// Extra per-node leak conductance to ground (siemens), added on top of
     /// the built-in 1 pS node-leak regularization. The default `0.0`
     /// leaves every result bit-exact (`x + 0.0` is the identity on finite
@@ -116,7 +96,6 @@ impl Default for SolveOptions {
             // ideal-driver stamps leave in the residual.
             tol_amps: 1e-8,
             max_step_volts: 0.5,
-            lin_cache_epsilon_volts: None,
             extra_leak_s: 0.0,
         }
     }
@@ -286,30 +265,10 @@ struct Relax<'a> {
     /// Per-node leak: `NODE_LEAK_S` plus [`SolveOptions::extra_leak_s`].
     leak: f64,
     max_step: f64,
-    /// Linearization-cache epsilon; `None` = cache off.
-    eps: Option<f64>,
     /// Word-line band boundaries (see [`band_bounds`]).
     wl_bounds: Vec<usize>,
     /// Bit-line band boundaries.
     bl_bounds: Vec<usize>,
-}
-
-/// One band's share of a phase: its largest node update and its
-/// linearization-cache hits and lookups.
-#[derive(Clone, Copy, Default)]
-struct BandStats {
-    max_dv: f64,
-    hits: u64,
-    lookups: u64,
-}
-
-/// A band's part of the three linearization-cache planes (`v`, `g`, `i0`),
-/// empty while the cache is off: one contiguous slice for a word-line band,
-/// one sub-slice per row for a bit-line band.
-struct CacheBand<P> {
-    v: P,
-    g: P,
-    i0: P,
 }
 
 /// Fewest lines a band holds: a band's thread is spawned afresh every phase,
@@ -330,13 +289,12 @@ fn band_bounds(lines: usize, threads: usize) -> Vec<usize> {
 }
 
 /// Splits the row-major `plane` into one contiguous chunk of whole
-/// `width`-wide rows per band; an empty plane yields empty chunks.
+/// `width`-wide rows per band.
 fn row_bands<'a>(mut plane: &'a mut [f64], bounds: &[usize], width: usize) -> Vec<&'a mut [f64]> {
     bounds
         .windows(2)
         .map(|w| {
-            let len = ((w[1] - w[0]) * width).min(plane.len());
-            let (band, rest) = std::mem::take(&mut plane).split_at_mut(len);
+            let (band, rest) = std::mem::take(&mut plane).split_at_mut((w[1] - w[0]) * width);
             plane = rest;
             band
         })
@@ -344,8 +302,7 @@ fn row_bands<'a>(mut plane: &'a mut [f64], bounds: &[usize], width: usize) -> Ve
 }
 
 /// Splits every `cols`-wide row of `plane` at the column band boundaries:
-/// entry `b` holds band `b`'s sub-slice of each row, top to bottom. An
-/// empty plane yields empty bands.
+/// entry `b` holds band `b`'s sub-slice of each row, top to bottom.
 fn col_bands<'a>(plane: &'a mut [f64], bounds: &[usize], cols: usize) -> Vec<Vec<&'a mut [f64]>> {
     let rows = plane.len() / cols;
     let mut bands: Vec<Vec<&mut [f64]>> = (1..bounds.len())
@@ -359,14 +316,6 @@ fn col_bands<'a>(plane: &'a mut [f64], bounds: &[usize], cols: usize) -> Vec<Vec
         }
     }
     bands
-}
-
-/// Zips per-band splits of the three cache planes into [`CacheBand`]s.
-fn cache_bands<P>(v: Vec<P>, g: Vec<P>, i0: Vec<P>) -> impl Iterator<Item = CacheBand<P>> {
-    v.into_iter()
-        .zip(g)
-        .zip(i0)
-        .map(|((v, g), i0)| CacheBand { v, g, i0 })
 }
 
 /// Runs one job per band — the first on the calling thread, the rest on
@@ -385,18 +334,13 @@ fn run_bands<T: Send>(jobs: Vec<impl FnOnce() -> T + Send>) -> Vec<T> {
     })
 }
 
-/// Folds a phase's band results in band order. The lowest band's error
-/// wins: its first singular line is the first one the one-thread schedule
-/// meets. The max fold does not depend on order.
-fn merge_bands(outs: Vec<Result<BandStats, SolveError>>) -> Result<BandStats, SolveError> {
-    outs.into_iter().try_fold(BandStats::default(), |acc, out| {
-        let b = out?;
-        Ok(BandStats {
-            max_dv: acc.max_dv.max(b.max_dv),
-            hits: acc.hits + b.hits,
-            lookups: acc.lookups + b.lookups,
-        })
-    })
+/// Folds a phase's band results — each band's largest node update — in
+/// band order. The lowest band's error wins: its first singular line is the
+/// first one the one-thread schedule meets. The max fold does not depend on
+/// order.
+fn merge_bands(outs: Vec<Result<f64, SolveError>>) -> Result<f64, SolveError> {
+    outs.into_iter()
+        .try_fold(0.0f64, |acc, out| Ok(acc.max(out?)))
 }
 
 /// Stamps one junction into slot `o` of an (interleaved) tridiagonal
@@ -407,8 +351,7 @@ fn merge_bands(outs: Vec<Result<BandStats, SolveError>>) -> Result<BandStats, So
 /// [`solve_tridiagonal_batch_const`] takes as a scalar.
 /// For a WL node pass `i0` and the fixed BL voltage; for a BL node pass
 /// `-i0` and the fixed WL voltage — `x - i0` and `x + (-i0)` are the same
-/// f64 operation, so both phases share this exact arithmetic sequence
-/// (bitwise identity between the cached and uncached arms).
+/// f64 operation, so both phases share this exact arithmetic sequence.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn stamp_node(
@@ -444,37 +387,30 @@ fn stamp_node(
 }
 
 impl Relax<'_> {
-    /// Relaxes one band of word-lines against the fixed BL plane: `vw`,
-    /// `vb` and `lin` hold the band's rows, the first of which is row
-    /// `r_lo`. Node `j` of batch-local row `t` lives at scratch slot
-    /// `j*t_n + t`. Fixed row windows let the compiler drop the per-cell
-    /// bounds checks on all five planes.
+    /// Relaxes one band of word-lines against the fixed BL plane and
+    /// returns its largest node update: `vw` and `vb` hold the band's rows,
+    /// the first of which is row `r_lo`. Node `j` of batch-local row `t`
+    /// lives at scratch slot `j*t_n + t`. Fixed row windows let the
+    /// compiler drop the per-cell bounds checks on the planes.
     fn wl_band(
         &self,
         r_lo: usize,
         vw: &mut [f64],
         vb: &[f64],
-        lin: CacheBand<&mut [f64]>,
         diag: &mut [f64],
         rhs: &mut [f64],
-    ) -> Result<BandStats, SolveError> {
+    ) -> Result<f64, SolveError> {
         let Self {
             cp,
             cols,
             g_wl,
             leak,
             max_step,
-            eps,
             ..
         } = *self;
         let (devices, cells) = cp.cells();
-        let CacheBand {
-            v: lin_v,
-            g: lin_g,
-            i0: lin_i0,
-        } = lin;
         let band_rows = vw.len() / cols;
-        let mut st = BandStats::default();
+        let mut max_dv = 0.0f64;
         let mut r0 = 0;
         while r0 < band_rows {
             let t_n = LINE_BATCH.min(band_rows - r0);
@@ -487,54 +423,22 @@ impl Relax<'_> {
                 let vbr = &vb[base..base + cols];
                 let vwr = &vw[base..base + cols];
                 let cr = &cells[i * cols..(i + 1) * cols];
-                if let Some(e) = eps {
-                    let lv = &mut lin_v[base..base + cols];
-                    let lg = &mut lin_g[base..base + cols];
-                    let li = &mut lin_i0[base..base + cols];
-                    st.lookups += cols as u64;
-                    for j in 0..cols {
-                        let v = vbr[j] - vwr[j];
-                        if (v - lv[j]).abs() <= e {
-                            st.hits += 1;
-                        } else {
-                            let (g, i0) = devices[cr[j] as usize].linearize(v);
-                            lv[j] = v;
-                            lg[j] = g;
-                            li[j] = i0;
-                        }
-                        stamp_node(
-                            j,
-                            cols,
-                            j * t_n + t,
-                            lg[j],
-                            leak,
-                            li[j],
-                            vbr[j],
-                            g_wl,
-                            (gl, vl),
-                            (gr, vr),
-                            diag,
-                            rhs,
-                        );
-                    }
-                } else {
-                    for j in 0..cols {
-                        let (g, i0) = devices[cr[j] as usize].linearize(vbr[j] - vwr[j]);
-                        stamp_node(
-                            j,
-                            cols,
-                            j * t_n + t,
-                            g,
-                            leak,
-                            i0,
-                            vbr[j],
-                            g_wl,
-                            (gl, vl),
-                            (gr, vr),
-                            diag,
-                            rhs,
-                        );
-                    }
+                for j in 0..cols {
+                    let (g, i0) = devices[cr[j] as usize].linearize(vbr[j] - vwr[j]);
+                    stamp_node(
+                        j,
+                        cols,
+                        j * t_n + t,
+                        g,
+                        leak,
+                        i0,
+                        vbr[j],
+                        g_wl,
+                        (gl, vl),
+                        (gr, vr),
+                        diag,
+                        rhs,
+                    );
                 }
             }
             let m = t_n * cols;
@@ -547,17 +451,17 @@ impl Relax<'_> {
                 for (j, w) in vw[base..base + cols].iter_mut().enumerate() {
                     let dv = (rhs[j * t_n + t] - *w).clamp(-max_step, max_step);
                     *w += dv;
-                    st.max_dv = st.max_dv.max(dv.abs());
+                    max_dv = max_dv.max(dv.abs());
                 }
             }
             r0 += t_n;
         }
-        Ok(st)
+        Ok(max_dv)
     }
 
     /// Relaxes one band of bit-lines against the fixed WL plane (the twin
-    /// of [`Relax::wl_band`]): `vb` and `lin` hold the band's sub-slice of
-    /// every row, the first column of which is column `c_lo`. A batch is up
+    /// of [`Relax::wl_band`]): `vb` holds the band's sub-slice of every
+    /// row, the first column of which is column `c_lo`. A batch is up
     /// to [`LINE_BATCH`] adjacent columns assembled in one plane pass; node
     /// `i` of batch-local column `t` lives at scratch slot `i*t_n + t`, and
     /// the stamp is shared with the WL phase by negating `i0` (see
@@ -567,10 +471,9 @@ impl Relax<'_> {
         c_lo: usize,
         vb: &mut [&mut [f64]],
         vw: &[f64],
-        lin: CacheBand<Vec<&mut [f64]>>,
         diag: &mut [f64],
         rhs: &mut [f64],
-    ) -> Result<BandStats, SolveError> {
+    ) -> Result<f64, SolveError> {
         let Self {
             cp,
             rows,
@@ -578,17 +481,11 @@ impl Relax<'_> {
             g_bl,
             leak,
             max_step,
-            eps,
             ..
         } = *self;
         let (devices, cells) = cp.cells();
-        let CacheBand {
-            v: mut lin_v,
-            g: mut lin_g,
-            i0: mut lin_i0,
-        } = lin;
         let width = vb.first().map_or(0, |row| row.len());
-        let mut st = BandStats::default();
+        let mut max_dv = 0.0f64;
         let mut c0 = 0;
         while c0 < width {
             let t_n = LINE_BATCH.min(width - c0);
@@ -605,54 +502,22 @@ impl Relax<'_> {
                 let vbr = &vb[i][c0..c0 + t_n];
                 let vwr = &vw[base..base + t_n];
                 let cr = &cells[base..base + t_n];
-                if let Some(e) = eps {
-                    let lv = &mut lin_v[i][c0..c0 + t_n];
-                    let lg = &mut lin_g[i][c0..c0 + t_n];
-                    let li = &mut lin_i0[i][c0..c0 + t_n];
-                    st.lookups += t_n as u64;
-                    for t in 0..t_n {
-                        let v = vbr[t] - vwr[t];
-                        if (v - lv[t]).abs() <= e {
-                            st.hits += 1;
-                        } else {
-                            let (g, i0) = devices[cr[t] as usize].linearize(v);
-                            lv[t] = v;
-                            lg[t] = g;
-                            li[t] = i0;
-                        }
-                        stamp_node(
-                            i,
-                            rows,
-                            i * t_n + t,
-                            lg[t],
-                            leak,
-                            -li[t],
-                            vwr[t],
-                            g_bl,
-                            near[t],
-                            far[t],
-                            diag,
-                            rhs,
-                        );
-                    }
-                } else {
-                    for t in 0..t_n {
-                        let (g, i0) = devices[cr[t] as usize].linearize(vbr[t] - vwr[t]);
-                        stamp_node(
-                            i,
-                            rows,
-                            i * t_n + t,
-                            g,
-                            leak,
-                            -i0,
-                            vwr[t],
-                            g_bl,
-                            near[t],
-                            far[t],
-                            diag,
-                            rhs,
-                        );
-                    }
+                for t in 0..t_n {
+                    let (g, i0) = devices[cr[t] as usize].linearize(vbr[t] - vwr[t]);
+                    stamp_node(
+                        i,
+                        rows,
+                        i * t_n + t,
+                        g,
+                        leak,
+                        -i0,
+                        vwr[t],
+                        g_bl,
+                        near[t],
+                        far[t],
+                        diag,
+                        rhs,
+                    );
                 }
             }
             let m = t_n * rows;
@@ -664,12 +529,12 @@ impl Relax<'_> {
                 for (t, b) in row[c0..c0 + t_n].iter_mut().enumerate() {
                     let dv = (rhs[i * t_n + t] - *b).clamp(-max_step, max_step);
                     *b += dv;
-                    st.max_dv = st.max_dv.max(dv.abs());
+                    max_dv = max_dv.max(dv.abs());
                 }
             }
             c0 += t_n;
         }
-        Ok(st)
+        Ok(max_dv)
     }
 
     /// One full sweep on the workspace planes — every word-line band, then
@@ -677,16 +542,7 @@ impl Relax<'_> {
     /// the largest node update.
     fn sweep(&self, ws: &mut SolverWorkspace) -> Result<f64, SolveError> {
         let SolverWorkspace {
-            vw,
-            vb,
-            lin_v,
-            lin_g,
-            lin_i0,
-            diag,
-            rhs,
-            last_cache_hits,
-            last_cache_lookups,
-            ..
+            vw, vb, diag, rhs, ..
         } = ws;
         let (rows, cols) = (self.rows, self.cols);
         // Every band gets its own interleaved-batch scratch.
@@ -697,22 +553,15 @@ impl Relax<'_> {
                 buf.resize(bands * scratch, 0.0);
             }
         }
-        // With the cache off, every band's cache slices are empty.
-        let n_cache = if self.eps.is_some() { rows * cols } else { 0 };
 
         let bounds = &self.wl_bounds;
         let jobs: Vec<_> = bounds
             .windows(2)
             .zip(row_bands(vw, bounds, cols))
-            .zip(cache_bands(
-                row_bands(&mut lin_v[..n_cache], bounds, cols),
-                row_bands(&mut lin_g[..n_cache], bounds, cols),
-                row_bands(&mut lin_i0[..n_cache], bounds, cols),
-            ))
             .zip(diag.chunks_mut(scratch).zip(rhs.chunks_mut(scratch)))
-            .map(|(((w, vw_band), lin), (d, r))| {
+            .map(|((w, vw_band), (d, r))| {
                 let vb_band = &vb[w[0] * cols..w[1] * cols];
-                move || self.wl_band(w[0], vw_band, vb_band, lin, d, r)
+                move || self.wl_band(w[0], vw_band, vb_band, d, r)
             })
             .collect();
         let wl = merge_bands(run_bands(jobs))?;
@@ -722,21 +571,12 @@ impl Relax<'_> {
         let jobs: Vec<_> = bounds
             .windows(2)
             .zip(col_bands(vb, bounds, cols))
-            .zip(cache_bands(
-                col_bands(&mut lin_v[..n_cache], bounds, cols),
-                col_bands(&mut lin_g[..n_cache], bounds, cols),
-                col_bands(&mut lin_i0[..n_cache], bounds, cols),
-            ))
             .zip(diag.chunks_mut(scratch).zip(rhs.chunks_mut(scratch)))
-            .map(|(((w, mut vb_band), lin), (d, r))| {
-                move || self.bl_band(w[0], &mut vb_band, vw, lin, d, r)
-            })
+            .map(|((w, mut vb_band), (d, r))| move || self.bl_band(w[0], &mut vb_band, vw, d, r))
             .collect();
         let bl = merge_bands(run_bands(jobs))?;
 
-        *last_cache_hits += wl.hits + bl.hits;
-        *last_cache_lookups += wl.lookups + bl.lookups;
-        Ok(wl.max_dv.max(bl.max_dv))
+        Ok(wl.max(bl))
     }
 }
 
@@ -764,76 +604,55 @@ impl Crosspoint {
     ///
     /// Exactly as [`Crosspoint::solve`].
     pub fn solve_observed(&self, opts: &SolveOptions, obs: &Obs) -> Result<Solution, SolveError> {
-        self.solve_warm_observed(opts, &mut SolverWorkspace::new(), obs)
+        let mut ws = SolverWorkspace::new();
+        let stats = self.solve_tracked(opts, &mut ws, obs)?;
+        Ok(self.solution(ws.vw, ws.vb, stats))
     }
 
-    /// [`Crosspoint::solve`] with a reusable [`SolverWorkspace`]: starts
-    /// from the workspace's previous converged operating point when its
-    /// dimensions match (cold-starting otherwise), reuses every scratch
-    /// allocation, keeps the linearization cache across calls, and relaxes
-    /// each phase in bands over the workspace's threads.
+    /// The warm, in-place solve for sweep-style callers: starts from the
+    /// workspace's previous converged operating point when its dimensions
+    /// match (cold-starting otherwise), reuses every scratch allocation,
+    /// relaxes each phase in bands over the workspace's threads, and
+    /// records the `circuit.solve.*` telemetry of
+    /// [`Crosspoint::solve_observed`] plus `circuit.solve.warm_hits` into
+    /// `obs` ([`Obs::off`] records nothing).
     ///
-    /// A warm start changes the iteration *path*, not the answer: both
-    /// starts converge to within [`SolveOptions::tol_volts`] /
-    /// [`SolveOptions::tol_amps`] of the same operating point.
+    /// The returned view reads the converged voltage planes in place in the
+    /// workspace, where they also seed the next solve; it computes no cell
+    /// or source currents. A warm start changes the iteration *path*, not
+    /// the answer: both starts converge to within
+    /// [`SolveOptions::tol_volts`] / [`SolveOptions::tol_amps`] of the same
+    /// operating point, and a cold start is bit for bit
+    /// [`Crosspoint::solve`].
     ///
     /// # Errors
     ///
     /// Exactly as [`Crosspoint::solve`]. After any error the workspace's
     /// warm seed is dropped, so the next call cold-starts.
-    pub fn solve_warm(
-        &self,
-        opts: &SolveOptions,
-        ws: &mut SolverWorkspace,
-    ) -> Result<Solution, SolveError> {
-        self.solve_warm_observed(opts, ws, &Obs::off())
-    }
-
-    /// [`Crosspoint::solve_warm`] with telemetry (see
-    /// [`Crosspoint::solve_observed`]); additionally counts
-    /// `circuit.solve.warm_hits` and records the per-solve
-    /// `circuit.solve.cache.skip_ratio`.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`Crosspoint::solve_warm`].
-    pub fn solve_warm_observed(
-        &self,
-        opts: &SolveOptions,
-        ws: &mut SolverWorkspace,
-        obs: &Obs,
-    ) -> Result<Solution, SolveError> {
-        let stats = self.solve_tracked(opts, ws, obs)?;
-        Ok(self.solution(&ws.vw, &ws.vb, stats))
-    }
-
-    /// [`Crosspoint::solve_warm`] without copying the result: the returned
-    /// view reads the converged voltage planes in place in the workspace,
-    /// where they also seed the next warm solve. The tightest loop for
-    /// sweep-style callers that inspect a few voltages per solve; it
-    /// computes no cell or source currents.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`Crosspoint::solve_warm`].
     pub fn solve_into<'w>(
         &self,
         opts: &SolveOptions,
         ws: &'w mut SolverWorkspace,
+        obs: &Obs,
     ) -> Result<SolutionView<'w>, SolveError> {
-        let stats = self.solve_tracked(opts, ws, &Obs::off())?;
-        Ok(SolutionView {
+        let stats = self.solve_tracked(opts, ws, obs)?;
+        Ok(self.view(ws, stats))
+    }
+
+    /// The view of the operating point `ws` converged to with `stats`.
+    pub(crate) fn view<'w>(&self, ws: &'w SolverWorkspace, stats: SolveStats) -> SolutionView<'w> {
+        SolutionView {
             rows: self.rows(),
             cols: self.cols(),
             vw: &ws.vw,
             vb: &ws.vb,
             stats,
-        })
+        }
     }
 
     /// Wraps [`Crosspoint::solve_core`] with the `circuit.solve.*`
     /// telemetry shared by every public entry point.
-    fn solve_tracked(
+    pub(crate) fn solve_tracked(
         &self,
         opts: &SolveOptions,
         ws: &mut SolverWorkspace,
@@ -846,10 +665,6 @@ impl Crosspoint {
             obs.counter("circuit.solve.solves").inc();
             if ws.last_warm {
                 obs.counter("circuit.solve.warm_hits").inc();
-            }
-            if ws.last_cache_lookups > 0 {
-                obs.hist("circuit.solve.cache.skip_ratio")
-                    .record(ws.cache_skip_ratio());
             }
             match &res {
                 Ok(stats) => {
@@ -890,14 +705,11 @@ impl Crosspoint {
         ws: &mut SolverWorkspace,
     ) -> Result<SolveStats, SolveError> {
         ws.last_warm = false;
-        ws.last_cache_hits = 0;
-        ws.last_cache_lookups = 0;
         if !self.has_source() {
             return Err(SolveError::NoSource);
         }
         let rows = self.rows();
         let cols = self.cols();
-        let n = rows * cols;
         let g_wl = 1.0 / self.r_wire_wl();
         let g_bl = 1.0 / self.r_wire_bl();
         let leak = NODE_LEAK_S + opts.extra_leak_s;
@@ -942,10 +754,7 @@ impl Crosspoint {
             self.initial_guess_into(&mut ws.vw, &mut ws.vb);
         }
 
-        // `eps: None` disables the cache outright; it is also how the stall
-        // recovery below retires a cache that twice failed the exact
-        // residual check.
-        let mut relax = Relax {
+        let relax = Relax {
             cp: self,
             rows,
             cols,
@@ -953,20 +762,9 @@ impl Crosspoint {
             g_bl,
             leak,
             max_step: opts.max_step_volts,
-            eps: opts.lin_cache_epsilon_volts,
             wl_bounds: band_bounds(rows, ws.threads),
             bl_bounds: band_bounds(cols, ws.threads),
         };
-        let mut cache_stalls = 0u32;
-        if relax.eps.is_some() && ws.cache_dims != Some((rows, cols)) {
-            ws.lin_v.clear();
-            ws.lin_v.resize(n, f64::NAN);
-            ws.lin_g.clear();
-            ws.lin_g.resize(n, 0.0);
-            ws.lin_i0.clear();
-            ws.lin_i0.resize(n, 0.0);
-            ws.cache_dims = Some((rows, cols));
-        }
 
         let mut converged = None;
         // Residual trajectory for NotConverged diagnostics: sampled a few
@@ -975,18 +773,13 @@ impl Crosspoint {
         let sample_every = (opts.max_sweeps / SolveError::RESIDUAL_TAIL_LEN).max(1);
         let mut residual_tail: Vec<f64> = Vec::new();
         // Consecutive sweeps in which the iterate stopped moving while the
-        // exact residual still rejected it *and* no cache refresh was left
-        // to try. Gauss–Seidel cannot un-stall on its own from that state,
-        // so after a few confirming sweeps the solve bails out with the
-        // true sweep count instead of burning the whole budget.
+        // exact residual still rejected it. Gauss–Seidel cannot un-stall on
+        // its own from that state, so after a few confirming sweeps the
+        // solve bails out with the true sweep count instead of burning the
+        // whole budget.
         let mut dead_sweeps = 0u32;
         for sweep in 0..opts.max_sweeps {
-            let max_dv = relax.sweep(ws).inspect_err(|_| {
-                // A singular line stops each band at its own first failure,
-                // so how far the cache got depends on the thread count:
-                // drop it rather than let that leak into later solves.
-                ws.invalidate_cache();
-            })?;
+            let max_dv = relax.sweep(ws)?;
 
             if !max_dv.is_finite() {
                 return Err(SolveError::Diverged { sweep });
@@ -1002,30 +795,16 @@ impl Crosspoint {
                     break;
                 }
                 // The iterate stopped moving but the exact nonlinear
-                // residual rejects it: the cache has pinned some cell to a
-                // stale linearization (a generous epsilon, or devices
-                // swapped between warm solves). Refresh the cache — and on
-                // repeat offense retire it — rather than fail a solvable
-                // system.
-                if relax.eps.is_some() {
-                    if cache_stalls < 2 {
-                        ws.lin_v.fill(f64::NAN);
-                    } else {
-                        relax.eps = None;
-                    }
-                    cache_stalls += 1;
-                } else {
-                    // No cache left to refresh: the stall is terminal once
-                    // it survives a few confirming sweeps.
-                    dead_sweeps += 1;
-                    if dead_sweeps >= STALL_BAIL_SWEEPS {
-                        residual_tail.push(residual);
-                        return Err(SolveError::NotConverged {
-                            residual,
-                            sweeps: sweep + 1,
-                            residual_tail,
-                        });
-                    }
+                // residual rejects it: the stall is terminal once it
+                // survives a few confirming sweeps.
+                dead_sweeps += 1;
+                if dead_sweeps >= STALL_BAIL_SWEEPS {
+                    residual_tail.push(residual);
+                    return Err(SolveError::NotConverged {
+                        residual,
+                        sweeps: sweep + 1,
+                        residual_tail,
+                    });
                 }
             } else {
                 dead_sweeps = 0;
@@ -1063,7 +842,7 @@ impl Crosspoint {
 
     /// Derives the full [`Solution`] (nonlinear cell currents, source
     /// currents) from converged plane voltages.
-    fn solution(&self, vw: &[f64], vb: &[f64], stats: SolveStats) -> Solution {
+    fn solution(&self, vw: Vec<f64>, vb: Vec<f64>, stats: SolveStats) -> Solution {
         let (rows, cols) = (self.rows(), self.cols());
         let src = |end: LineEnd, v_node: f64| -> f64 {
             let (g, v) = end.stamp();
@@ -1072,8 +851,6 @@ impl Crosspoint {
         Solution {
             rows,
             cols,
-            vw: vw.to_vec(),
-            vb: vb.to_vec(),
             cell_currents: (0..rows * cols)
                 .map(|idx| self.device(idx).current(vb[idx] - vw[idx]))
                 .collect(),
@@ -1087,6 +864,8 @@ impl Crosspoint {
             src_bl_far: (0..cols)
                 .map(|j| src(self.bl_far(j), vb[(rows - 1) * cols + j]))
                 .collect(),
+            vw,
+            vb,
             stats,
         }
     }
@@ -1465,15 +1244,16 @@ mod tests {
         reset_bias(&mut cp, n - 1, n - 1, 3.0);
         let mut ws = SolverWorkspace::new();
         let opts = SolveOptions::default();
-        let cold = cp.solve_warm(&opts, &mut ws).unwrap();
+        let cold = cp.solve_into(&opts, &mut ws, &Obs::off()).unwrap();
+        let (cold_sweeps, cold_veff) = (cold.stats().sweeps, cold.cell_voltage(n - 1, n - 1));
         assert!(!ws.last_used_warm_start());
-        let warm = cp.solve_warm(&opts, &mut ws).unwrap();
-        assert!(ws.last_used_warm_start());
-        assert_eq!(ws.warm_hits(), 1);
+        let warm = cp.solve_into(&opts, &mut ws, &Obs::off()).unwrap();
         // Re-solving the identical network from its own solution converges
         // immediately.
-        assert!(warm.stats().sweeps < cold.stats().sweeps);
-        assert!((warm.cell_voltage(n - 1, n - 1) - cold.cell_voltage(n - 1, n - 1)).abs() < 1e-9);
+        assert!(warm.stats().sweeps < cold_sweeps);
+        assert!((warm.cell_voltage(n - 1, n - 1) - cold_veff).abs() < 1e-9);
+        assert!(ws.last_used_warm_start());
+        assert_eq!(ws.warm_hits(), 1);
     }
 
     #[test]
@@ -1484,7 +1264,7 @@ mod tests {
         let opts = SolveOptions::default();
         let byval = cp.solve(&opts).unwrap();
         let mut ws = SolverWorkspace::new();
-        let view = cp.solve_into(&opts, &mut ws).unwrap();
+        let view = cp.solve_into(&opts, &mut ws, &Obs::off()).unwrap();
         let veff = view.cell_voltage(n - 1, n - 1);
         assert_eq!(veff.to_bits(), byval.cell_voltage(n - 1, n - 1).to_bits());
         assert_eq!(view.stats(), byval.stats());
@@ -1492,7 +1272,7 @@ mod tests {
         let k = (n - 1) * n + n - 1;
         assert_eq!((ws.vb[k] - ws.vw[k]).to_bits(), veff.to_bits());
         let veff2 = cp
-            .solve_into(&opts, &mut ws)
+            .solve_into(&opts, &mut ws, &Obs::off())
             .unwrap()
             .cell_voltage(n - 1, n - 1);
         assert!(ws.last_used_warm_start());
@@ -1533,14 +1313,13 @@ mod tests {
         let mut second = first.clone();
         second.set_bl_near(n - 1, LineEnd::driven(3.004));
         let opts = SolveOptions::default();
-        for threads in [1, 2] {
-            let mut ws_view = SolverWorkspace::new().with_threads(threads);
-            let mut ws_owned = SolverWorkspace::new().with_threads(threads);
-            for (k, cp) in [&first, &second].into_iter().enumerate() {
-                let owned = cp.solve_warm(&opts, &mut ws_owned).unwrap();
-                let view = cp.solve_into(&opts, &mut ws_view).unwrap();
-                assert_view_is(&view, &owned, &format!("threads={threads} warm={}", k > 0));
-                assert_eq!(ws_view.last_used_warm_start(), k > 0);
+        for cp in [&first, &second] {
+            let owned = cp.solve(&opts).unwrap();
+            for threads in [1, 2] {
+                let mut ws = SolverWorkspace::new().with_threads(threads);
+                let view = cp.solve_into(&opts, &mut ws, &Obs::off()).unwrap();
+                assert_view_is(&view, &owned, &format!("threads={threads}"));
+                assert!(!ws.last_used_warm_start());
             }
         }
     }
@@ -1551,7 +1330,8 @@ mod tests {
         let mut cp = Crosspoint::uniform(n, n, 11.5, lrs());
         reset_bias(&mut cp, n - 1, n - 1, 3.0);
         let mut ws = SolverWorkspace::new().with_threads(2);
-        cp.solve_into(&SolveOptions::default(), &mut ws).unwrap();
+        cp.solve_into(&SolveOptions::default(), &mut ws, &Obs::off())
+            .unwrap();
         // Exhaustive on purpose: a new buffer must be accounted for here.
         let SolverWorkspace {
             threads: _,
@@ -1560,13 +1340,7 @@ mod tests {
             seeded,
             diag,
             rhs,
-            lin_v,
-            lin_g,
-            lin_i0,
-            cache_dims: _,
             last_warm: _,
-            last_cache_hits: _,
-            last_cache_lookups: _,
             warm_hits_total: _,
             faults: _,
         } = &ws;
@@ -1575,8 +1349,6 @@ mod tests {
         // One interleaved batch of line systems per band, two bands.
         let scratch = 2 * LINE_BATCH * n;
         assert_eq!((diag.capacity(), rhs.capacity()), (scratch, scratch));
-        // The linearization cache is off by default.
-        assert_eq!(lin_v.capacity() + lin_g.capacity() + lin_i0.capacity(), 0);
     }
 
     /// The residual as it was computed before the fused pass: every cell

@@ -2,29 +2,28 @@
 //!
 //! A [`SolverWorkspace`] owns everything a solve needs beyond the network
 //! itself: the working voltage planes (which double as the warm-start seed
-//! for the next solve), the tridiagonal scratch buffers, the per-cell
-//! linearization cache, and the number of threads the relaxation kernel
-//! runs its line bands on. Callers that solve the same (or a
-//! slowly-varying) network many times — validation grids, voltage ramps,
-//! figure sweeps — hold one workspace and call
-//! [`Crosspoint::solve_warm`](crate::Crosspoint::solve_warm) or
+//! for the next solve), the tridiagonal scratch buffers, and the number of
+//! threads the relaxation kernel runs its line bands on. Callers that solve
+//! the same (or a slowly-varying) network many times — validation grids,
+//! voltage ramps, figure sweeps — hold one workspace and call
 //! [`Crosspoint::solve_into`](crate::Crosspoint::solve_into) instead of
 //! [`Crosspoint::solve`](crate::Crosspoint::solve), so each solve starts
-//! from the previous operating point and reuses every allocation;
-//! `solve_into` reads its result from the workspace planes in place.
+//! from the previous operating point, reuses every allocation and reads
+//! its result from the workspace planes in place.
 
 use reram_fault::FaultInjector;
 use std::sync::Arc;
 
-/// Scratch vectors, warm-start seed, linearization cache and relaxation
-/// thread count, reused across solves.
+/// Scratch vectors, warm-start seed and relaxation thread count, reused
+/// across solves.
 ///
 /// Create one per solving thread with [`SolverWorkspace::new`], optionally
 /// spread each relaxation phase over more cores via
-/// [`SolverWorkspace::with_threads`], and pass it to the `solve_warm*` /
-/// `solve_into` entry points. The workspace adapts to whatever network
-/// dimensions it is handed; a dimension change simply drops the seed and
-/// cache.
+/// [`SolverWorkspace::with_threads`], and pass it to
+/// [`Crosspoint::solve_into`](crate::Crosspoint::solve_into) or
+/// [`Crosspoint::solve_recover`](crate::Crosspoint::solve_recover). The
+/// workspace adapts to whatever network dimensions it is handed; a
+/// dimension change simply drops the seed.
 #[derive(Debug)]
 pub struct SolverWorkspace {
     /// Threads each relaxation phase is split across (≥ 1).
@@ -42,21 +41,8 @@ pub struct SolverWorkspace {
     /// of a cross-point line system are all `-g_wire`.
     pub(crate) diag: Vec<f64>,
     pub(crate) rhs: Vec<f64>,
-    /// Linearization cache, indexed by cell: the junction voltage each
-    /// cell was last linearized at (`NaN` = no entry) …
-    pub(crate) lin_v: Vec<f64>,
-    /// … the Norton conductance computed there …
-    pub(crate) lin_g: Vec<f64>,
-    /// … and the Norton current offset.
-    pub(crate) lin_i0: Vec<f64>,
-    /// Dimensions the cache arrays are sized for.
-    pub(crate) cache_dims: Option<(usize, usize)>,
     /// Whether the most recent solve started from a warm seed.
     pub(crate) last_warm: bool,
-    /// Linearization-cache hits in the most recent solve.
-    pub(crate) last_cache_hits: u64,
-    /// Linearization-cache lookups in the most recent solve.
-    pub(crate) last_cache_lookups: u64,
     /// Cumulative count of solves that used a warm seed.
     pub(crate) warm_hits_total: u64,
     /// Fault-injection plane and the (site, target) scope this workspace
@@ -81,13 +67,7 @@ impl SolverWorkspace {
             seeded: None,
             diag: Vec::new(),
             rhs: Vec::new(),
-            lin_v: Vec::new(),
-            lin_g: Vec::new(),
-            lin_i0: Vec::new(),
-            cache_dims: None,
             last_warm: false,
-            last_cache_hits: 0,
-            last_cache_lookups: 0,
             warm_hits_total: 0,
             faults: None,
         }
@@ -140,30 +120,9 @@ impl SolverWorkspace {
         self.warm_hits_total
     }
 
-    /// Fraction of linearizations the cache skipped in the most recent
-    /// solve (0.0 when the cache was disabled or the solve never ran).
-    #[must_use]
-    pub fn cache_skip_ratio(&self) -> f64 {
-        if self.last_cache_lookups == 0 {
-            0.0
-        } else {
-            self.last_cache_hits as f64 / self.last_cache_lookups as f64
-        }
-    }
-
     /// Drops the warm-start seed: the next solve starts from the cold
-    /// initial guess (the cache is kept).
+    /// initial guess, bit for bit [`Crosspoint::solve`](crate::Crosspoint::solve).
     pub fn clear_seed(&mut self) {
         self.seeded = None;
-    }
-
-    /// Invalidates every linearization-cache entry. Cache entries are keyed
-    /// by cell position, not by device, so call this after mutating cell
-    /// devices between cached warm solves: it keeps even
-    /// `lin_cache_epsilon_volts: Some(0.0)` bitwise-identical to the
-    /// uncached solve, and skips the (automatic, but slower)
-    /// stall-detect-and-retry recovery under looser epsilons.
-    pub fn invalidate_cache(&mut self) {
-        self.lin_v.fill(f64::NAN);
     }
 }

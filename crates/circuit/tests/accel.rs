@@ -1,13 +1,13 @@
 //! Acceleration correctness suite: banded line relaxation on any number of
-//! threads must be bitwise-identical to one thread, warm starts must land
-//! on the cold-start answer within solver tolerance, and the linearization
-//! cache must never change a converged solution (exact-match epsilon:
-//! bitwise; loose epsilon: within the residual-checked tolerance).
+//! threads must be bitwise-identical to one thread, a cold workspace solve
+//! must be bitwise-identical to [`Crosspoint::solve`], and warm starts must
+//! land on the cold-start answer within solver tolerance.
 
 use reram_circuit::{
-    CellDevice, Crosspoint, LineEnd, PolySelector, Solution, SolveError, SolveOptions,
-    SolverWorkspace,
+    CellDevice, Crosspoint, LineEnd, PolySelector, Solution, SolutionView, SolveError,
+    SolveOptions, SolveStats, SolverWorkspace,
 };
+use reram_obs::Obs;
 
 /// Worst-case RESET bias: selected cell at the far corner, every other
 /// line half-selected (rectangular, to exercise strided BL write-back).
@@ -41,39 +41,71 @@ fn biased(rows: usize, cols: usize, kr: f64, r_wire: f64) -> Crosspoint {
     cp
 }
 
-/// Asserts two solutions are bitwise-identical in every observable field.
-fn assert_bitwise_eq(a: &Solution, b: &Solution, ctx: &str) {
-    assert_eq!(a.stats().sweeps, b.stats().sweeps, "sweeps differ: {ctx}");
-    assert_eq!(
-        a.stats().residual_amps.to_bits(),
-        b.stats().residual_amps.to_bits(),
-        "residual differs: {ctx}"
-    );
-    assert_eq!(a, b, "solutions differ: {ctx}");
+/// A converged operating point as bit patterns: both voltage planes,
+/// row-major, and every statistic.
+#[derive(Debug, PartialEq)]
+struct Bits {
+    wl: Vec<u64>,
+    bl: Vec<u64>,
+    stats: [u64; 3],
+}
+
+impl Bits {
+    fn new(cp: &Crosspoint, node: impl Fn(usize, usize) -> (f64, f64), stats: SolveStats) -> Self {
+        let (mut wl, mut bl) = (Vec::new(), Vec::new());
+        for i in 0..cp.rows() {
+            for j in 0..cp.cols() {
+                let (w, b) = node(i, j);
+                wl.push(w.to_bits());
+                bl.push(b.to_bits());
+            }
+        }
+        let stats = [
+            stats.sweeps as u64,
+            stats.residual_amps.to_bits(),
+            stats.max_delta_volts.to_bits(),
+        ];
+        Self { wl, bl, stats }
+    }
+
+    fn of_view(cp: &Crosspoint, view: &SolutionView<'_>) -> Self {
+        Self::new(
+            cp,
+            |i, j| (view.wl_voltage(i, j), view.bl_voltage(i, j)),
+            view.stats(),
+        )
+    }
+
+    fn of_solution(cp: &Crosspoint, sol: &Solution) -> Self {
+        Self::new(
+            cp,
+            |i, j| (sol.wl_voltage(i, j), sol.bl_voltage(i, j)),
+            sol.stats(),
+        )
+    }
 }
 
 /// Solves `first` then `second` through one workspace on `threads`
-/// threads, returning the second solution: cold when `warm` is false (the
-/// seed is dropped in between), warm-started from `first` otherwise.
-fn solve_pair(
-    first: &Crosspoint,
-    second: &Crosspoint,
-    opts: &SolveOptions,
-    threads: usize,
-    warm: bool,
-) -> Solution {
+/// threads, returning the second operating point: cold when `warm` is
+/// false (the seed is dropped in between), warm-started from `first`
+/// otherwise.
+fn solve_pair(first: &Crosspoint, second: &Crosspoint, threads: usize, warm: bool) -> Bits {
+    let opts = SolveOptions::default();
     let mut ws = SolverWorkspace::new().with_threads(threads);
     first
-        .solve_warm(opts, &mut ws)
+        .solve_into(&opts, &mut ws, &Obs::off())
         .expect("first solve converges");
     if !warm {
         ws.clear_seed();
     }
-    let sol = second
-        .solve_warm(opts, &mut ws)
-        .expect("second solve converges");
+    let bits = Bits::of_view(
+        second,
+        &second
+            .solve_into(&opts, &mut ws, &Obs::off())
+            .expect("second solve converges"),
+    );
     assert_eq!(ws.last_used_warm_start(), warm);
-    sol
+    bits
 }
 
 #[test]
@@ -89,41 +121,21 @@ fn parallel_solve_is_bitwise_identical_to_serial() {
         let mut second = first.clone();
         second.set_bl_near(cols - 1, LineEnd::driven(3.004));
         second.set_cell(rows / 2, cols / 3, CellDevice::Linear(1e-4));
-        for eps in [None, Some(1e-5)] {
-            let opts = SolveOptions {
-                lin_cache_epsilon_volts: eps,
-                ..SolveOptions::default()
-            };
-            for warm in [false, true] {
-                let one = solve_pair(&first, &second, &opts, 1, warm);
-                for threads in [2usize, 3] {
-                    let banded = solve_pair(&first, &second, &opts, threads, warm);
-                    let ctx = format!("{rows}x{cols} eps={eps:?} warm={warm} threads={threads}");
-                    assert_bitwise_eq(&one, &banded, &ctx);
-                    assert_eq!(
-                        one.stats().max_delta_volts.to_bits(),
-                        banded.stats().max_delta_volts.to_bits(),
-                        "max_delta_volts differs: {ctx}"
-                    );
-                    // Spot-check the planes cell by cell, not just via
-                    // PartialEq.
-                    for i in [0, rows / 2, rows - 1] {
-                        for j in [0, cols / 2, cols - 1] {
-                            assert_eq!(
-                                one.wl_voltage(i, j).to_bits(),
-                                banded.wl_voltage(i, j).to_bits()
-                            );
-                            assert_eq!(
-                                one.bl_voltage(i, j).to_bits(),
-                                banded.bl_voltage(i, j).to_bits()
-                            );
-                            assert_eq!(
-                                one.cell_current(i, j).to_bits(),
-                                banded.cell_current(i, j).to_bits()
-                            );
-                        }
-                    }
-                }
+        let owned = second
+            .solve(&SolveOptions::default())
+            .expect("owned solve converges");
+        for warm in [false, true] {
+            let one = solve_pair(&first, &second, 1, warm);
+            if !warm {
+                assert_eq!(
+                    one,
+                    Bits::of_solution(&second, &owned),
+                    "{rows}x{cols}: a cold workspace solve is Crosspoint::solve"
+                );
+            }
+            for threads in [2usize, 3] {
+                let banded = solve_pair(&first, &second, threads, warm);
+                assert_eq!(one, banded, "{rows}x{cols} warm={warm} threads={threads}");
             }
         }
     }
@@ -149,9 +161,10 @@ fn warm_start_lands_on_the_cold_start_solution() {
                 },
             );
         }
-        let warm = cp.solve_warm(&opts, &mut ws).expect("warm solve converges");
+        let warm = cp
+            .solve_into(&opts, &mut ws, &Obs::off())
+            .expect("warm solve converges");
         let cold = cp.solve(&opts).expect("cold solve converges");
-        assert_eq!(ws.last_used_warm_start(), step > 0);
         let dv = (warm.cell_voltage(n - 1, n - 1) - cold.cell_voltage(n - 1, n - 1)).abs();
         // Both iterates stopped inside the same tol_volts/tol_amps basin.
         assert!(dv < 1e-9, "warm vs cold differ by {dv} V at vrst={vrst}");
@@ -160,6 +173,7 @@ fn warm_start_lands_on_the_cold_start_solution() {
             warm_sweeps += warm.stats().sweeps;
             cold_sweeps += cold.stats().sweeps;
         }
+        assert_eq!(ws.last_used_warm_start(), step > 0);
     }
     assert_eq!(ws.warm_hits(), 7);
     // An individual step may cost one extra sweep (the seed is from a
@@ -168,118 +182,6 @@ fn warm_start_lands_on_the_cold_start_solution() {
         warm_sweeps < cold_sweeps,
         "warm ramp took {warm_sweeps} sweeps vs {cold_sweeps} cold"
     );
-}
-
-#[test]
-fn exact_match_cache_is_bitwise_identical_to_disabled() {
-    let cp = biased(24, 24, 1000.0, 2.82);
-    let cached = cp
-        .solve(&SolveOptions {
-            lin_cache_epsilon_volts: Some(0.0),
-            ..SolveOptions::default()
-        })
-        .expect("cached solve converges");
-    let plain = cp
-        .solve(&SolveOptions {
-            lin_cache_epsilon_volts: None,
-            ..SolveOptions::default()
-        })
-        .expect("uncached solve converges");
-    assert_bitwise_eq(&cached, &plain, "eps=0.0 vs disabled");
-}
-
-#[test]
-fn exact_match_cache_after_device_swap_needs_invalidation() {
-    // Cache entries are keyed by cell position: once devices change under
-    // a warm workspace, `Some(0.0)` only matches `None` bitwise if the
-    // caller invalidates the cache first.
-    let n = 24;
-    let zero = SolveOptions {
-        lin_cache_epsilon_volts: Some(0.0),
-        ..SolveOptions::default()
-    };
-    let none = SolveOptions::default();
-    let mut cp = biased(n, n, 1000.0, 2.82);
-    let mut ws_zero = SolverWorkspace::new();
-    let mut ws_none = SolverWorkspace::new();
-    cp.solve_warm(&zero, &mut ws_zero)
-        .expect("cached solve converges");
-    cp.solve_warm(&none, &mut ws_none)
-        .expect("uncached solve converges");
-    for j in [0, n / 2, n - 1] {
-        cp.set_cell(n - 1, j, CellDevice::Linear(1e-4));
-    }
-    ws_zero.invalidate_cache();
-    let cached = cp.solve_warm(&zero, &mut ws_zero).expect("cached re-solve");
-    let plain = cp
-        .solve_warm(&none, &mut ws_none)
-        .expect("uncached re-solve");
-    assert!(ws_zero.last_used_warm_start() && ws_none.last_used_warm_start());
-    assert_bitwise_eq(
-        &cached,
-        &plain,
-        "eps=0.0 after swap + invalidate vs disabled",
-    );
-}
-
-#[test]
-fn loose_cache_epsilon_passes_the_exact_residual_check() {
-    let n = 32;
-    let cp = biased(n, n, 1000.0, 2.82);
-    let base = SolveOptions::default();
-    let plain = cp
-        .solve(&SolveOptions {
-            lin_cache_epsilon_volts: None,
-            ..base
-        })
-        .expect("uncached solve converges");
-    let mut ws = SolverWorkspace::new();
-    let loose = cp
-        .solve_warm(
-            &SolveOptions {
-                lin_cache_epsilon_volts: Some(1e-6),
-                ..base
-            },
-            &mut ws,
-        )
-        .expect("loosely cached solve converges");
-    // The loose cache may take a different path, but the accepted answer is
-    // still gated by the same exact nonlinear KCL residual.
-    assert!(loose.stats().residual_amps < base.tol_amps);
-    assert!(plain.stats().residual_amps < base.tol_amps);
-    let dv = (loose.cell_voltage(n - 1, n - 1) - plain.cell_voltage(n - 1, n - 1)).abs();
-    assert!(dv < 1e-8, "loose-cache answer off by {dv} V");
-    assert!(
-        ws.cache_skip_ratio() > 0.5,
-        "loose epsilon should skip most linearizations, got {}",
-        ws.cache_skip_ratio()
-    );
-}
-
-#[test]
-fn stale_cache_after_cell_swap_recovers_via_residual_check() {
-    let n = 16;
-    let mut cp = biased(n, n, 1000.0, 2.82);
-    let opts = SolveOptions {
-        lin_cache_epsilon_volts: Some(1e-6),
-        ..SolveOptions::default()
-    };
-    let mut ws = SolverWorkspace::new();
-    cp.solve_warm(&opts, &mut ws)
-        .expect("first solve converges");
-    // Swap a device without telling the workspace: the warm seed and cache
-    // are now stale. The exact residual check must force re-linearization
-    // rather than accept the old operating point.
-    cp.set_cell(n - 1, n - 1, CellDevice::Linear(1e-4));
-    let warm = cp
-        .solve_warm(&opts, &mut ws)
-        .expect("stale-cache solve converges");
-    let cold = cp
-        .solve(&SolveOptions::default())
-        .expect("fresh solve converges");
-    let dv = (warm.cell_voltage(n - 1, n - 1) - cold.cell_voltage(n - 1, n - 1)).abs();
-    assert!(dv < 1e-8, "stale-cache answer off by {dv} V");
-    assert!(warm.stats().residual_amps < opts.tol_amps);
 }
 
 /// A `rows × cols` array of 10 µS cells whose lines all float except one
@@ -316,8 +218,9 @@ fn singular_line_surfaces_through_the_parallel_path() {
         for threads in [1usize, 2, 3] {
             let mut ws = SolverWorkspace::new().with_threads(threads);
             assert_eq!(
-                cp.solve_warm(&SolveOptions::default(), &mut ws),
-                Err(SolveError::SingularLine { line: *line }),
+                cp.solve_into(&SolveOptions::default(), &mut ws, &Obs::off())
+                    .err(),
+                Some(SolveError::SingularLine { line: *line }),
                 "threads={threads}"
             );
         }
@@ -325,9 +228,11 @@ fn singular_line_surfaces_through_the_parallel_path() {
     // A failed solve must not leave a warm seed behind.
     let mut cp = singular(192, 1, &[(100, 0)]);
     let mut ws = SolverWorkspace::new().with_threads(2);
-    assert!(cp.solve_warm(&SolveOptions::default(), &mut ws).is_err());
+    assert!(cp
+        .solve_into(&SolveOptions::default(), &mut ws, &Obs::off())
+        .is_err());
     cp.set_cell(100, 0, CellDevice::Linear(1e-5));
-    cp.solve_warm(&SolveOptions::default(), &mut ws)
+    cp.solve_into(&SolveOptions::default(), &mut ws, &Obs::off())
         .expect("repaired network converges");
     assert!(!ws.last_used_warm_start());
 }

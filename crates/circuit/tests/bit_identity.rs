@@ -6,12 +6,14 @@
 //!
 //! Each network is solved cold (fresh workspace) and warm (from the
 //! converged point of a neighbouring network), on one and on two relaxation
-//! threads; both thread counts must land on the same recorded digest.
+//! threads; both thread counts must land on the same recorded digest, and
+//! the cold one on that of the owned [`Crosspoint::solve`].
 
 use reram_circuit::{
-    CellDevice, CompliantCell, Crosspoint, LineEnd, PolySelector, SeriesCell, Solution,
-    SolveOptions, SolverWorkspace,
+    CellDevice, CompliantCell, Crosspoint, LineEnd, PolySelector, SeriesCell, SolveOptions,
+    SolverWorkspace,
 };
+use reram_obs::Obs;
 use reram_workloads::Rng64;
 
 const ROWS: usize = 48;
@@ -91,12 +93,13 @@ fn random_linear(vrst: f64) -> Crosspoint {
     cp
 }
 
-/// FNV-1a over the bit patterns of both voltage planes, row-major.
-fn planes_digest(sol: &Solution) -> u64 {
+/// FNV-1a over the bit patterns of both voltage planes, row-major; `node`
+/// gives the (WL, BL) voltages at a junction.
+fn planes_digest(node: impl Fn(usize, usize) -> [f64; 2]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for i in 0..ROWS {
         for j in 0..COLS {
-            for v in [sol.wl_voltage(i, j), sol.bl_voltage(i, j)] {
+            for v in node(i, j) {
                 for b in v.to_bits().to_le_bytes() {
                     h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
                 }
@@ -111,14 +114,28 @@ fn planes_digest(sol: &Solution) -> u64 {
 fn digests(build: fn(f64) -> Crosspoint, threads: usize) -> (u64, u64) {
     let opts = SolveOptions::default();
     let mut ws = SolverWorkspace::new().with_threads(threads);
-    let cold = build(3.0).solve_warm(&opts, &mut ws).expect("cold solve");
+    let sol = build(3.0)
+        .solve_into(&opts, &mut ws, &Obs::off())
+        .expect("cold solve");
+    let cold = planes_digest(|i, j| [sol.wl_voltage(i, j), sol.bl_voltage(i, j)]);
     assert!(!ws.last_used_warm_start());
-    let warm = build(3.01).solve_warm(&opts, &mut ws).expect("warm solve");
+    let sol = build(3.01)
+        .solve_into(&opts, &mut ws, &Obs::off())
+        .expect("warm solve");
+    let warm = planes_digest(|i, j| [sol.wl_voltage(i, j), sol.bl_voltage(i, j)]);
     assert!(ws.last_used_warm_start());
-    (planes_digest(&cold), planes_digest(&warm))
+    (cold, warm)
 }
 
 fn check(name: &str, build: fn(f64) -> Crosspoint, want: (u64, u64)) {
+    let owned = build(3.0)
+        .solve(&SolveOptions::default())
+        .expect("owned solve");
+    assert_eq!(
+        planes_digest(|i, j| [owned.wl_voltage(i, j), owned.bl_voltage(i, j)]),
+        want.0,
+        "{name}: owned cold solve"
+    );
     for threads in [1, 2] {
         let got = digests(build, threads);
         assert_eq!(

@@ -126,7 +126,7 @@ fn recovered_solve_is_bitwise_identical_to_fault_free() {
 }
 
 /// A warm-started workspace recovers to the same bits too: the ladder's
-/// cold-restart rung must shed *all* warm state, not just the seed.
+/// cold-restart rung must shed all warm state.
 #[test]
 fn warm_workspace_recovers_to_cold_solve_bits() {
     let mut rng = Rng64::new(0xFA02);
@@ -143,18 +143,24 @@ fn warm_workspace_recovers_to_cold_solve_bits() {
         );
         let inj = Arc::new(FaultInjector::new(plan, &reram_obs::Obs::off()));
         let mut ws = SolverWorkspace::new().with_faults(inj, "prop-warm");
-        cp.solve_warm(&opts, &mut ws)
+        cp.solve_into(&opts, &mut ws, &reram_obs::Obs::off())
             .unwrap_or_else(|e| panic!("case {case}: priming solve failed: {e}"));
         let (sol, rec) = cp
             .solve_recover(&opts, &mut ws, &reram_obs::Obs::off())
             .unwrap_or_else(|e| panic!("case {case}: ladder must absorb, got {e}"));
         assert_eq!(rec.rung, RecoveryRung::ColdRestart, "case {case}");
+        assert_eq!(sol.stats(), reference.stats(), "case {case}");
         for i in 0..n {
             for j in 0..n {
                 assert_eq!(
-                    sol.cell_voltage(i, j).to_bits(),
-                    reference.cell_voltage(i, j).to_bits(),
-                    "case {case}: cell ({i},{j}) diverged after warm recovery"
+                    sol.wl_voltage(i, j).to_bits(),
+                    reference.wl_voltage(i, j).to_bits(),
+                    "case {case}: WL node ({i},{j}) diverged after warm recovery"
+                );
+                assert_eq!(
+                    sol.bl_voltage(i, j).to_bits(),
+                    reference.bl_voltage(i, j).to_bits(),
+                    "case {case}: BL node ({i},{j}) diverged after warm recovery"
                 );
             }
         }

@@ -6,7 +6,8 @@
 //! registry access. The `proptest` cargo feature (no extra dependencies)
 //! multiplies the case counts for a deeper soak.
 
-use reram_circuit::{CellDevice, Crosspoint, LineEnd, PolySelector, SolveOptions};
+use reram_circuit::{CellDevice, Crosspoint, LineEnd, PolySelector, SolveOptions, SolverWorkspace};
+use reram_obs::Obs;
 use reram_workloads::Rng64;
 
 /// Cases per property: 24 by default (matching the old proptest config),
@@ -72,6 +73,35 @@ fn charge_conserved_on_random_networks() {
             "net current {}",
             sol.total_source_current()
         );
+    }
+}
+
+/// A workspace that cold-starts each network (its seed dropped in
+/// between) reproduces the owned one-shot solve plane by plane, bit for
+/// bit, whatever network it solved before.
+#[test]
+fn cold_workspace_solves_match_owned_solves() {
+    let mut rng = Rng64::new(0x55);
+    let mut ws = SolverWorkspace::new();
+    for case in 0..cases(24) {
+        let (rows, cols) = (rng.gen_range_usize(2, 9), rng.gen_range_usize(2, 9));
+        let gs = random_conductances(&mut rng, rows * cols);
+        let cp = biased_array(rows, cols, &gs, rng.gen_range_f64(1.0, 4.0));
+        let owned = cp.solve(&SolveOptions::default()).unwrap();
+        ws.clear_seed();
+        let view = cp
+            .solve_into(&SolveOptions::default(), &mut ws, &Obs::off())
+            .unwrap();
+        assert_eq!(view.stats(), owned.stats(), "case {case}");
+        for i in 0..rows {
+            for j in 0..cols {
+                assert_eq!(
+                    [view.wl_voltage(i, j), view.bl_voltage(i, j)].map(f64::to_bits),
+                    [owned.wl_voltage(i, j), owned.bl_voltage(i, j)].map(f64::to_bits),
+                    "case {case}: node ({i},{j})"
+                );
+            }
+        }
     }
 }
 

@@ -1,8 +1,7 @@
 //! Solver-acceleration validation grid: KCL operating points across array
 //! sizes and a DRVR-style RESET voltage ramp, solved through a reusable
-//! [`SolverWorkspace`] so the run exercises warm starts, the linearization
-//! cache, and (with `--solver-jobs ≥ 2`) banded line relaxation on that
-//! many threads.
+//! [`SolverWorkspace`] so the run exercises warm starts and (with
+//! `--solver-jobs ≥ 2`) banded line relaxation on that many threads.
 //!
 //! The table doubles as a determinism witness: every voltage it prints
 //! comes out of the bitwise-deterministic solver, so the CSV must be
@@ -77,13 +76,7 @@ pub fn solver_grid(
         Budget::Standard => &[64, 128, 256],
         Budget::Full => &[64, 128, 256, 512],
     };
-    let opts = SolveOptions {
-        // Warm ramps re-linearize only the cells the regulation step
-        // actually moved; the exact KCL residual check keeps the answers
-        // honest (see DESIGN.md § Acceleration).
-        lin_cache_epsilon_volts: Some(1e-5),
-        ..SolveOptions::default()
-    };
+    let opts = SolveOptions::default();
     let mut warm_hits = 0u64;
     let mut recoveries = 0u64;
     for &n in sizes {
@@ -125,7 +118,7 @@ pub fn solver_grid(
          narrows as wire drops shrink.",
     );
     t.note(format!(
-        "Solver config: jobs={}, warm_start={}, cache_eps=1e-5; warm hits {}, \
+        "Solver config: jobs={}, warm_start={}; warm hits {}, \
          ladder recoveries {} (voltages identical for any jobs/warm/fault \
          setting — bitwise-deterministic relaxation, residual-gated warm \
          starts, exact recovery rungs).",
@@ -193,6 +186,33 @@ mod tests {
         assert_eq!(inj.injected(), 1);
         assert_eq!(inj.recovered(), 1, "the ladder absorbs the fault");
         assert_eq!(clean.rows, faulted.rows, "recovery is bitwise-exact");
+    }
+
+    #[test]
+    fn quick_grid_rows_are_pinned() {
+        // Recorded, sweeps included, while this grid still ran with a
+        // per-cell linearization cache (1e-5 V): solving without it moved
+        // neither a printed voltage nor a sweep count.
+        let want = [
+            ["32", "3.000", "2.935", "2.935", "4"],
+            ["32", "2.998", "2.933", "2.933", "3"],
+            ["32", "3.002", "2.937", "2.937", "3"],
+            ["64", "3.000", "2.867", "2.866", "4"],
+            ["64", "2.998", "2.865", "2.864", "3"],
+            ["64", "3.002", "2.868", "2.868", "4"],
+        ];
+        for jobs in [1, 2] {
+            let cfg = SolverCfg {
+                jobs,
+                warm_start: true,
+            };
+            let t = solver_grid(Budget::Quick, cfg, None, &Obs::off());
+            assert_eq!(
+                t.rows,
+                want.map(|row| row.map(String::from).to_vec()),
+                "jobs={jobs}"
+            );
+        }
     }
 
     #[test]

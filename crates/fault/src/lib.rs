@@ -5,7 +5,7 @@
 //! `exec.journal.corrupt`), an optional **target** qualifier (a job name, a
 //! line index, …) and an **occurrence** index: the fault fires on the
 //! `occurrence`-th time that (site, target) stream is consulted, and never
-//! again. Layers that opt into injection hold an [`Arc<FaultInjector>`] and
+//! again. Layers that opt into injection hold an `Arc<`[`FaultInjector`]`>` and
 //! call [`FaultInjector::fire`] at their hook points; with no matching
 //! spec the call is a counter increment and a `BTreeMap` probe — cheap
 //! enough to leave compiled in.
@@ -100,8 +100,9 @@ pub mod site {
     pub const WAL_REPLAY: &str = "durable.wal.replay";
     /// Durable persistence point: consulted once per batch of records
     /// persisted by a replica (target = `replica<id>`); a fired
-    /// [`FaultKind::ReplicaCrash`] kills the replica process-style right
-    /// after that persistence point, keeping its on-disk state.
+    /// [`FaultKind::ReplicaCrash`](crate::FaultKind::ReplicaCrash) kills
+    /// the replica process-style right after that persistence point,
+    /// keeping its on-disk state.
     pub const CRASH: &str = "durable.crash";
 }
 

@@ -151,7 +151,7 @@ impl Tracer {
     }
 
     /// An enabled tracer sampling one request in `sample_period` (clamped
-    /// to ≥ 1), holding up to [`DEFAULT_CAPACITY`] spans.
+    /// to ≥ 1), holding up to 2^16 spans.
     #[must_use]
     pub fn new(sample_period: u64) -> Self {
         Self::with_capacity(sample_period, DEFAULT_CAPACITY)

@@ -36,7 +36,7 @@
 //! shed the request; carries a retry-after hint) and `ERR` (typed failure).
 //!
 //! **Cluster extension (v3).** Replica-to-replica consensus traffic
-//! (AppendEntries / RequestVote / InstallSnapshot, see [`cluster`]) rides
+//! (AppendEntries / RequestVote / InstallSnapshot, see [`cluster`](crate::cluster)) rides
 //! the same frame layout under version byte [`WIRE_VERSION_CLUSTER`] — no
 //! extension bytes, just a reserved opcode block (`0x10..0x20` requests,
 //! `0x90..0xA0` responses). The negotiation is per-frame like the trace

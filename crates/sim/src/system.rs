@@ -179,11 +179,14 @@ impl ExactTimer {
             .map(|&j| self.write.applied_volts(row, self.geom.group_of_col(j)))
             .collect();
         let cp = self.write.model().to_crosspoint(row, &cols, &applied);
-        let veff = cp.solve_into(&self.opts, &mut self.ws).ok().map(|sol| {
-            cols.iter()
-                .map(|&j| sol.cell_voltage(row, j))
-                .fold(f64::INFINITY, f64::min)
-        });
+        let veff = cp
+            .solve_into(&self.opts, &mut self.ws, &Obs::off())
+            .ok()
+            .map(|sol| {
+                cols.iter()
+                    .map(|&j| sol.cell_voltage(row, j))
+                    .fold(f64::INFINITY, f64::min)
+            });
         self.solves.inc();
         self.cache.insert((row, count), veff);
         veff
